@@ -355,10 +355,12 @@ BENCHMARK(BM_McYieldRun_Mixture);
 
 // Operational-workload kernel (not part of the CI ratio gate): one full
 // operational run on the Section-7 multiplexed workload — inject, plan the
-// reconfiguration, re-schedule the assay on the surviving module pool,
-// re-route the droplet transports. Orders of magnitude heavier than the
-// structural kernel by construction; tracked so the fig13_operational
-// campaign cost stays visible.
+// reconfiguration, look up the degraded schedule for the surviving module
+// pool (memoised per pool, so warm iterations mostly hit), and measure the
+// droplet transports with A* hop counts. About an order of magnitude
+// heavier than the structural kernel, with the reconfiguration plan now
+// the largest layer; tracked so the fig13_operational campaign cost stays
+// visible.
 
 void BM_McYieldRun_Operational(benchmark::State& state) {
   const auto workload = sim::AssayWorkload::multiplexed();

@@ -1,18 +1,26 @@
 #include "fluidics/router.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <cstdlib>
 #include <queue>
+#include <span>
 
 #include "common/contracts.hpp"
 #include "hexgrid/hex_coord.hpp"
 
 namespace dmfb::fluidics {
 
-UsableCells::UsableCells(const biochip::HexArray& array) : array_(array) {}
+UsableCells::UsableCells(const biochip::HexArray& array)
+    : array_(array), flags_(static_cast<std::size_t>(array.cell_count()), 0) {
+  for (const hex::CellIndex spare : array.spares()) {
+    flags_[static_cast<std::size_t>(spare)] = kSpare;
+  }
+}
 
 void UsableCells::activate_spare(hex::CellIndex spare) {
   DMFB_EXPECTS(array_.role(spare) == biochip::CellRole::kSpare);
-  activated_spares_.insert(spare);
+  flags_[static_cast<std::size_t>(spare)] |= kActivated;
 }
 
 void UsableCells::activate_plan(const reconfig::ReconfigPlan& plan) {
@@ -24,17 +32,33 @@ void UsableCells::activate_plan(const reconfig::ReconfigPlan& plan) {
   }
 }
 
-void UsableCells::block(hex::CellIndex cell) { blocked_.insert(cell); }
-void UsableCells::unblock(hex::CellIndex cell) { blocked_.erase(cell); }
+void UsableCells::deactivate_plan(const reconfig::ReconfigPlan& plan) {
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    if (array_.role(replacement.spare) == biochip::CellRole::kSpare) {
+      flags_[static_cast<std::size_t>(replacement.spare)] &=
+          static_cast<std::uint8_t>(~kActivated);
+    }
+  }
+}
+
+// Cells outside the array are never usable, so (un)blocking one is a no-op.
+void UsableCells::block(hex::CellIndex cell) {
+  if (cell < 0 || cell >= array_.cell_count()) return;
+  flags_[static_cast<std::size_t>(cell)] |= kBlocked;
+}
+
+void UsableCells::unblock(hex::CellIndex cell) {
+  if (cell < 0 || cell >= array_.cell_count()) return;
+  flags_[static_cast<std::size_t>(cell)] &=
+      static_cast<std::uint8_t>(~kBlocked);
+}
 
 bool UsableCells::usable(hex::CellIndex cell) const {
   if (cell < 0 || cell >= array_.cell_count()) return false;
-  if (blocked_.contains(cell)) return false;
-  if (array_.health(cell) == biochip::CellHealth::kFaulty) return false;
-  if (array_.role(cell) == biochip::CellRole::kSpare) {
-    return activated_spares_.contains(cell);
-  }
-  return true;
+  const std::uint8_t flags = flags_[static_cast<std::size_t>(cell)];
+  if ((flags & kBlocked) != 0) return false;
+  if ((flags & kSpare) != 0 && (flags & kActivated) == 0) return false;
+  return array_.health(cell) != biochip::CellHealth::kFaulty;
 }
 
 Router::Router(const UsableCells& usable) : usable_(usable) {}
@@ -70,6 +94,67 @@ std::vector<hex::CellIndex> Router::shortest_route(hex::CellIndex from,
 
 bool Router::reachable(hex::CellIndex from, hex::CellIndex to) const {
   return !shortest_route(from, to).empty();
+}
+
+std::int32_t Router::hop_count(hex::CellIndex from, hex::CellIndex to) {
+  if (!usable_.usable(from) || !usable_.usable(to)) return -1;
+  if (from == to) return 0;
+  const auto& array = usable_.array();
+  const std::span<const hex::HexCoord> coords = array.region().cells();
+  if (g_.empty()) {  // first search: size the buffers to the array
+    g_.assign(coords.size(), 0);
+    stamp_.assign(coords.size(), 0);
+  }
+  if (++epoch_ == 0) {  // wrapped: forget every stale stamp
+    std::fill(stamp_.begin(), stamp_.end(), 0U);
+    epoch_ = 1;
+  }
+  const hex::HexCoord goal = coords[static_cast<std::size_t>(to)];
+  // Hex distance to the goal: admissible and consistent for unit hops.
+  const auto h = [&](hex::CellIndex cell) {
+    const hex::HexCoord at = coords[static_cast<std::size_t>(cell)];
+    const std::int32_t dq = at.q - goal.q;
+    const std::int32_t dr = at.r - goal.r;
+    return (std::abs(dq) + std::abs(dr) + std::abs(dq + dr)) / 2;
+  };
+  const auto g_of = [&](hex::CellIndex cell) {
+    const auto i = static_cast<std::size_t>(cell);
+    return stamp_[i] == epoch_ ? g_[i]
+                               : std::numeric_limits<std::int32_t>::max();
+  };
+
+  // A hop changes h by at most 1, so f = g + h grows by 0, 1 or 2 and the
+  // open list needs only the buckets at f, f + 1 and f + 2 (indexed by
+  // f mod 3). A cell whose g improved after it was queued leaves a stale
+  // entry, skipped because its f no longer matches the bucket.
+  for (auto& bucket : open_) bucket.clear();
+  std::size_t pending = 1;
+  std::int32_t f = h(from);
+  stamp_[static_cast<std::size_t>(from)] = epoch_;
+  g_[static_cast<std::size_t>(from)] = 0;
+  open_[static_cast<std::size_t>(f % 3)].push_back(from);
+  for (; pending > 0; ++f) {
+    auto& bucket = open_[static_cast<std::size_t>(f % 3)];
+    while (!bucket.empty()) {
+      const hex::CellIndex v = bucket.back();
+      bucket.pop_back();
+      --pending;
+      const std::int32_t g = g_[static_cast<std::size_t>(v)];
+      if (g + h(v) != f) continue;  // stale
+      for (const hex::CellIndex u : array.neighbors_of(v)) {
+        // Consistency makes the goal's first g final: v holds the least f
+        // in the open list and lies one hop from the goal.
+        if (u == to) return g + 1;
+        if (g + 1 >= g_of(u) || !usable_.usable(u)) continue;
+        const auto i = static_cast<std::size_t>(u);
+        stamp_[i] = epoch_;
+        g_[i] = g + 1;
+        open_[static_cast<std::size_t>((g + 1 + h(u)) % 3)].push_back(u);
+        ++pending;
+      }
+    }
+  }
+  return -1;
 }
 
 hex::CellIndex TimedRoute::at(std::int64_t t) const {

@@ -1,6 +1,7 @@
 #include "reconfig/local_reconfig.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/contracts.hpp"
@@ -33,15 +34,6 @@ CellIndex ReconfigPlan::replacement_for(CellIndex faulty) const noexcept {
     if (replacement.faulty == faulty) return replacement.spare;
   }
   return hex::kInvalidCell;
-}
-
-std::unordered_map<CellIndex, CellIndex> ReconfigPlan::as_map() const {
-  std::unordered_map<CellIndex, CellIndex> map;
-  map.reserve(replacements.size());
-  for (const Replacement& replacement : replacements) {
-    map.emplace(replacement.faulty, replacement.spare);
-  }
-  return map;
 }
 
 std::vector<CellIndex> cells_to_cover(const HexArray& array,

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "biochip/hex_array.hpp"
@@ -62,8 +61,6 @@ struct ReconfigPlan {
 
   /// Replacement spare for `faulty`, or kInvalidCell.
   CellIndex replacement_for(CellIndex faulty) const noexcept;
-  /// Remap view: identity except faulty cells mapped to their spares.
-  std::unordered_map<CellIndex, CellIndex> as_map() const;
 };
 
 /// Matching-based reconfigurer (the paper's method).

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "assay/multiplexed_chip.hpp"
 #include "common/contracts.hpp"
-#include "fluidics/router.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -40,108 +38,6 @@ std::optional<WorkloadModule::Kind> module_kind_of(
 
 std::size_t kind_slot(WorkloadModule::Kind kind) noexcept {
   return static_cast<std::size_t>(kind);
-}
-
-struct AssayOutcome {
-  bool ok = false;
-  double completion_s = 0.0;
-};
-
-/// The shared operational evaluation: surviving modules -> degraded
-/// schedule -> routed transports. `array` carries the run's fault state;
-/// `plan` is the reconfiguration plan computed for it (empty and successful
-/// on the healthy baseline). Deterministic in (array health, plan).
-AssayOutcome run_assay(const assay::SequencingGraph& graph,
-                       std::span<const WorkloadModule> modules,
-                       const biochip::HexArray& array,
-                       const reconfig::ReconfigPlan& plan) {
-  // One O(1) lookup table per run: ReconfigPlan::replacement_for is a
-  // linear scan, too slow for the per-cell probes of this hot loop.
-  const std::unordered_map<CellIndex, CellIndex> replacement = plan.as_map();
-  const auto replacement_of = [&](CellIndex cell) {
-    const auto found = replacement.find(cell);
-    return found == replacement.end() ? hex::kInvalidCell : found->second;
-  };
-  // A module survives iff every one of its cells still has an operator:
-  // the cell itself when healthy, or the adjacent replacement the plan
-  // assigned its duties to.
-  const auto cell_operational = [&](CellIndex cell) {
-    return array.health(cell) != biochip::CellHealth::kFaulty ||
-           replacement_of(cell) != hex::kInvalidCell;
-  };
-  std::vector<std::size_t> alive_by_kind[3];
-  for (std::size_t m = 0; m < modules.size(); ++m) {
-    const WorkloadModule& module = modules[m];
-    if (std::all_of(module.cells.begin(), module.cells.end(),
-                    cell_operational)) {
-      alive_by_kind[kind_slot(module.kind)].push_back(m);
-    }
-  }
-  assay::ResourcePool surviving;
-  surviving.dispense_ports = static_cast<std::int32_t>(
-      alive_by_kind[kind_slot(WorkloadModule::Kind::kPort)].size());
-  surviving.mixers = static_cast<std::int32_t>(
-      alive_by_kind[kind_slot(WorkloadModule::Kind::kMixer)].size());
-  surviving.detectors = static_cast<std::int32_t>(
-      alive_by_kind[kind_slot(WorkloadModule::Kind::kDetector)].size());
-
-  // Graceful degradation ends where a resource class the assay needs has no
-  // surviving instance at all.
-  for (const assay::AssayOp& op : graph.ops()) {
-    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
-      return {};
-    }
-  }
-
-  const assay::Schedule schedule = [&] {
-    obs::ScopedSpan span("assay.schedule", "op");
-    const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
-    return assay::ListScheduler(surviving).schedule(graph);
-  }();
-
-  // Transport endpoints: the scheduler's instance index i binds an op to
-  // the i-th surviving module of its class (module order); a faulty anchor
-  // cell hands the endpoint to its replacement. Resource-free ops (store)
-  // park at their producer's endpoint.
-  obs::ScopedSpan route_span("fluidics.route", "op");
-  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
-  fluidics::UsableCells usable(array);
-  usable.activate_plan(plan);
-  const fluidics::Router router(usable);
-  std::vector<CellIndex> anchor(static_cast<std::size_t>(graph.op_count()),
-                                hex::kInvalidCell);
-  std::int64_t transport_hops = 0;
-  for (const assay::AssayOp& op : graph.ops()) {
-    const auto id = static_cast<std::size_t>(op.id);
-    const auto kind = module_kind_of(assay::resource_class(op.kind));
-    if (kind) {
-      const auto& alive = alive_by_kind[kind_slot(*kind)];
-      const auto instance =
-          static_cast<std::size_t>(schedule.of(op.id).resource_index);
-      DMFB_ASSERT(instance < alive.size());
-      const CellIndex cell = modules[alive[instance]].cells.front();
-      anchor[id] = array.health(cell) == biochip::CellHealth::kFaulty
-                       ? replacement_of(cell)
-                       : cell;
-    } else {
-      DMFB_ASSERT(!op.inputs.empty());
-      anchor[id] = anchor[static_cast<std::size_t>(op.inputs.front())];
-    }
-    DMFB_ASSERT(anchor[id] != hex::kInvalidCell);
-    for (const std::int32_t input : op.inputs) {
-      const std::vector<CellIndex> route = router.shortest_route(
-          anchor[static_cast<std::size_t>(input)], anchor[id]);
-      if (route.empty()) return {};  // transport severed: assay fails
-      transport_hops += static_cast<std::int64_t>(route.size()) - 1;
-    }
-  }
-
-  AssayOutcome outcome;
-  outcome.ok = true;
-  outcome.completion_s =
-      schedule.makespan() +
-      kTransportSecondsPerHop * static_cast<double>(transport_hops);
-  return outcome;
 }
 
 }  // namespace
@@ -192,12 +88,11 @@ std::shared_ptr<const AssayWorkload> AssayWorkload::make(
   // the workload itself) are meaningless.
   reconfig::ReconfigPlan healthy_plan;
   healthy_plan.success = true;
-  const AssayOutcome baseline =
-      run_assay(workload->graph_, workload->modules_,
-                workload->design_->array(), healthy_plan);
-  DMFB_EXPECTS(baseline.ok);
-  DMFB_EXPECTS(baseline.completion_s > 0.0);
-  workload->baseline_completion_s_ = baseline.completion_s;
+  const std::optional<double> baseline =
+      OperationalState(workload).run_assay(healthy_plan);
+  DMFB_EXPECTS(baseline.has_value());
+  DMFB_EXPECTS(*baseline > 0.0);
+  workload->baseline_completion_s_ = *baseline;
   return workload;
 }
 
@@ -238,7 +133,18 @@ OperationalState::OperationalState(
     std::shared_ptr<const AssayWorkload> workload)
     : workload_(require_workload(std::move(workload))),
       faults_(workload_->design_ptr()),
-      array_(workload_->design().array()) {}
+      array_(workload_->design().array()),
+      usable_(array_),
+      router_(usable_),
+      replacement_(static_cast<std::size_t>(array_.cell_count()),
+                   hex::kInvalidCell),
+      anchor_(static_cast<std::size_t>(workload_->graph_.op_count()),
+              hex::kInvalidCell) {
+  const assay::ResourcePool& full = workload_->full_pool_;
+  schedules_.resize(static_cast<std::size_t>(full.dispense_ports + 1) *
+                    static_cast<std::size_t>(full.mixers + 1) *
+                    static_cast<std::size_t>(full.detectors + 1));
+}
 
 OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
                                           graph::MatchingEngine engine,
@@ -256,12 +162,11 @@ OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
 
   OperationalRun run;
   run.structural = plan.success;
-  const AssayOutcome outcome =
-      run_assay(workload_->graph_, workload_->modules_, array_, plan);
-  run.operational = outcome.ok;
-  if (outcome.ok) {
-    run.completion_s = outcome.completion_s;
-    run.slowdown = outcome.completion_s / workload_->baseline_completion_s_;
+  const std::optional<double> completion = run_assay(plan);
+  run.operational = completion.has_value();
+  if (completion) {
+    run.completion_s = *completion;
+    run.slowdown = *completion / workload_->baseline_completion_s_;
   }
 
   // Restore the mirror in O(#faults) for the next draw.
@@ -269,6 +174,116 @@ OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
     array_.set_health(cell, biochip::CellHealth::kHealthy);
   }
   return run;
+}
+
+std::optional<double> OperationalState::run_assay(
+    const reconfig::ReconfigPlan& plan) {
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    replacement_[static_cast<std::size_t>(replacement.faulty)] =
+        replacement.spare;
+  }
+  const std::optional<double> completion = remapped_completion(plan);
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    replacement_[static_cast<std::size_t>(replacement.faulty)] =
+        hex::kInvalidCell;
+  }
+  usable_.deactivate_plan(plan);
+  return completion;
+}
+
+std::optional<double> OperationalState::remapped_completion(
+    const reconfig::ReconfigPlan& plan) {
+  const assay::SequencingGraph& graph = workload_->graph_;
+  const std::vector<WorkloadModule>& modules = workload_->modules_;
+  const auto replacement_of = [&](CellIndex cell) {
+    return replacement_[static_cast<std::size_t>(cell)];
+  };
+  // A module survives iff every one of its cells still has an operator:
+  // the cell itself when healthy, or the adjacent replacement the plan
+  // assigned its duties to.
+  const auto cell_operational = [&](CellIndex cell) {
+    return array_.health(cell) != biochip::CellHealth::kFaulty ||
+           replacement_of(cell) != hex::kInvalidCell;
+  };
+  for (auto& alive : alive_by_kind_) alive.clear();
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    const WorkloadModule& module = modules[m];
+    if (std::all_of(module.cells.begin(), module.cells.end(),
+                    cell_operational)) {
+      alive_by_kind_[kind_slot(module.kind)].push_back(m);
+    }
+  }
+  assay::ResourcePool surviving;
+  surviving.dispense_ports = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kPort)].size());
+  surviving.mixers = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kMixer)].size());
+  surviving.detectors = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kDetector)].size());
+
+  // Graceful degradation ends where a resource class the assay needs has no
+  // surviving instance at all.
+  for (const assay::AssayOp& op : graph.ops()) {
+    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
+      return std::nullopt;
+    }
+  }
+
+  const assay::Schedule& schedule = [&]() -> const assay::Schedule& {
+    obs::ScopedSpan span("assay.schedule", "op");
+    const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
+    return schedule_for(surviving);
+  }();
+
+  // Transport endpoints: the scheduler's instance index i binds an op to
+  // the i-th surviving module of its class (module order); a faulty anchor
+  // cell hands the endpoint to its replacement. Resource-free ops (store)
+  // park at their producer's endpoint.
+  obs::ScopedSpan route_span("fluidics.route", "op");
+  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
+  usable_.activate_plan(plan);
+  std::int64_t transport_hops = 0;
+  for (const assay::AssayOp& op : graph.ops()) {
+    const auto id = static_cast<std::size_t>(op.id);
+    const auto kind = module_kind_of(assay::resource_class(op.kind));
+    if (kind) {
+      const auto& alive = alive_by_kind_[kind_slot(*kind)];
+      const auto instance =
+          static_cast<std::size_t>(schedule.of(op.id).resource_index);
+      DMFB_ASSERT(instance < alive.size());
+      const CellIndex cell = modules[alive[instance]].cells.front();
+      anchor_[id] = array_.health(cell) == biochip::CellHealth::kFaulty
+                        ? replacement_of(cell)
+                        : cell;
+    } else {
+      DMFB_ASSERT(!op.inputs.empty());
+      anchor_[id] = anchor_[static_cast<std::size_t>(op.inputs.front())];
+    }
+    DMFB_ASSERT(anchor_[id] != hex::kInvalidCell);
+    for (const std::int32_t input : op.inputs) {
+      const std::int32_t hops = router_.hop_count(
+          anchor_[static_cast<std::size_t>(input)], anchor_[id]);
+      if (hops < 0) return std::nullopt;  // transport severed: assay fails
+      transport_hops += hops;
+    }
+  }
+  return schedule.makespan() +
+         kTransportSecondsPerHop * static_cast<double>(transport_hops);
+}
+
+const assay::Schedule& OperationalState::schedule_for(
+    const assay::ResourcePool& surviving) {
+  const assay::ResourcePool& full = workload_->full_pool_;
+  DMFB_ASSERT(surviving.dispense_ports <= full.dispense_ports &&
+              surviving.mixers <= full.mixers &&
+              surviving.detectors <= full.detectors);
+  const auto slot = static_cast<std::size_t>(
+      (surviving.dispense_ports * (full.mixers + 1) + surviving.mixers) *
+          (full.detectors + 1) +
+      surviving.detectors);
+  std::optional<assay::Schedule>& memo = schedules_[slot];
+  if (!memo) memo = assay::ListScheduler(surviving).schedule(workload_->graph_);
+  return *memo;
 }
 
 }  // namespace dmfb::sim

@@ -24,18 +24,28 @@
 // its completion time is the degraded makespan plus the routed transport
 // overhead, so "slowdown" = completion / healthy-baseline-completion.
 //
+// Only transport hop counts enter the completion time, and a shortest-path
+// length does not depend on how a search breaks ties, so the kernel asks
+// Router::hop_count instead of materialising routes. The degraded schedule
+// is a pure function of the surviving (ports, mixers, detectors) pool, so
+// each OperationalState memoises it per pool — at most
+// (P+1)(M+1)(D+1) entries of the full pool, filled on first use.
+//
 // Everything in the kernel is a deterministic function of the drawn fault
 // set, so operational estimates inherit the session's thread-count
 // invariance bit-for-bit (pinned by tests/test_sim_operational.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "assay/list_scheduler.hpp"
 #include "assay/sequencing_graph.hpp"
+#include "fluidics/router.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
@@ -117,11 +127,15 @@ struct OperationalRun {
 };
 
 /// Per-thread operational scratch: a FaultState for the injectors plus a
-/// private HexArray mirror the reconfig/fluidics layers run against. Not
-/// thread-safe; use one per worker (mirrors FaultState's contract).
+/// private HexArray mirror the reconfig/fluidics layers run against, and the
+/// kernel's reusable tables (dense plan lookup, router buffers, schedule
+/// memo). Not thread-safe; use one per worker (mirrors FaultState's
+/// contract). Neither copyable nor movable: the router views the mirror.
 class OperationalState {
  public:
   explicit OperationalState(std::shared_ptr<const AssayWorkload> workload);
+  OperationalState(const OperationalState&) = delete;
+  OperationalState& operator=(const OperationalState&) = delete;
 
   const AssayWorkload& workload() const noexcept { return *workload_; }
 
@@ -139,9 +153,29 @@ class OperationalState {
   void reset() noexcept { faults_.reset(); }
 
  private:
+  /// Completion time of the assay on the mirror repaired by `plan`, or
+  /// nullopt when it cannot complete. Deterministic in (mirror health,
+  /// plan); leaves the kernel tables as it found them.
+  std::optional<double> run_assay(const reconfig::ReconfigPlan& plan);
+  /// run_assay's body, with `replacement_` already holding the plan.
+  std::optional<double> remapped_completion(
+      const reconfig::ReconfigPlan& plan);
+  /// The degraded schedule for `surviving`, computed on first use.
+  const assay::Schedule& schedule_for(const assay::ResourcePool& surviving);
+
   std::shared_ptr<const AssayWorkload> workload_;
   FaultState faults_;
   biochip::HexArray array_;  ///< private faulted mirror for reconfig/fluidics
+  fluidics::UsableCells usable_;  ///< over array_; plan spares per run
+  fluidics::Router router_;       ///< over usable_
+  /// replacement_[cell] = the plan's spare for a faulty cell, else invalid.
+  std::vector<CellIndex> replacement_;
+  /// Memo slot (ports * (M+1) + mixers) * (D+1) + detectors of full_pool.
+  std::vector<std::optional<assay::Schedule>> schedules_;
+  std::array<std::vector<std::size_t>, 3> alive_by_kind_;  ///< module ids
+  std::vector<CellIndex> anchor_;  ///< per-op transport endpoint
+
+  friend class AssayWorkload;  // computes its baseline through run_assay
 };
 
 }  // namespace dmfb::sim

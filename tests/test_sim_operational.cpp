@@ -9,7 +9,11 @@
 // structural leg of an operational query to the same query asked with
 // Workload::kStructural, so the two halves of the codebase agree on
 // repairability run-for-run. The fig13_operational campaign CSV is pinned
-// as a golden file, like fig9_smoke.
+// as a golden file, like fig9_smoke. An oracle test checks the kernel's
+// reusable tables, hop-count search and schedule memo field for field
+// against a from-scratch evaluator built on BFS routes.
+#include <algorithm>
+#include <bit>
 #include <fstream>
 #include <sstream>
 
@@ -20,8 +24,11 @@
 #include "campaign/sink.hpp"
 #include "campaign/spec.hpp"
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "core/defect_tolerant_biochip.hpp"
+#include "fluidics/router.hpp"
 #include "sim/assay_workload.hpp"
+#include "sim/fault_model.hpp"
 #include "sim/session.hpp"
 
 namespace dmfb::sim {
@@ -157,6 +164,159 @@ TEST(OperationalState, AssayFailsWhenAWholeResourceClassDies) {
                      ReplacementPool::kSparesOnly);
   EXPECT_FALSE(run.structural);
   EXPECT_FALSE(run.operational);
+}
+
+// ----------------------------------------------------- from-scratch oracle
+
+/// The operational kernel rebuilt from scratch for every run: a fresh
+/// array and plan, a fresh ListScheduler, transports measured as BFS route
+/// lengths. Shares no table, buffer or memo with OperationalState.
+OperationalRun reference_evaluate(const AssayWorkload& workload,
+                                  std::span<const CellIndex> faulty,
+                                  CoveragePolicy policy, MatchingEngine engine,
+                                  ReplacementPool pool) {
+  biochip::HexArray array = workload.design().array();
+  for (const CellIndex cell : faulty) {
+    array.set_health(cell, biochip::CellHealth::kFaulty);
+  }
+  const reconfig::ReconfigPlan plan =
+      reconfig::LocalReconfigurer(policy, engine, pool).plan(array);
+  OperationalRun run;
+  run.structural = plan.success;
+
+  const auto operator_of = [&](CellIndex cell) {
+    return array.health(cell) == biochip::CellHealth::kFaulty
+               ? plan.replacement_for(cell)
+               : cell;
+  };
+  std::vector<const WorkloadModule*> alive[3];
+  for (const WorkloadModule& module : workload.modules()) {
+    if (std::all_of(module.cells.begin(), module.cells.end(),
+                    [&](CellIndex cell) {
+                      return operator_of(cell) != hex::kInvalidCell;
+                    })) {
+      alive[static_cast<std::size_t>(module.kind)].push_back(&module);
+    }
+  }
+  const auto alive_of = [&](assay::ResourceClass rc) -> const auto& {
+    switch (rc) {
+      case assay::ResourceClass::kPort:
+        return alive[static_cast<std::size_t>(WorkloadModule::Kind::kPort)];
+      case assay::ResourceClass::kMixer:
+        return alive[static_cast<std::size_t>(WorkloadModule::Kind::kMixer)];
+      default:
+        return alive[static_cast<std::size_t>(
+            WorkloadModule::Kind::kDetector)];
+    }
+  };
+  assay::ResourcePool surviving;
+  surviving.dispense_ports =
+      static_cast<std::int32_t>(alive_of(assay::ResourceClass::kPort).size());
+  surviving.mixers =
+      static_cast<std::int32_t>(alive_of(assay::ResourceClass::kMixer).size());
+  surviving.detectors = static_cast<std::int32_t>(
+      alive_of(assay::ResourceClass::kDetector).size());
+  for (const assay::AssayOp& op : workload.graph().ops()) {
+    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
+      return run;
+    }
+  }
+  const assay::Schedule schedule =
+      assay::ListScheduler(surviving).schedule(workload.graph());
+
+  fluidics::UsableCells usable(array);
+  usable.activate_plan(plan);
+  const fluidics::Router router(usable);
+  std::vector<CellIndex> anchor(
+      static_cast<std::size_t>(workload.graph().op_count()));
+  std::int64_t hops = 0;
+  for (const assay::AssayOp& op : workload.graph().ops()) {
+    const auto id = static_cast<std::size_t>(op.id);
+    const assay::ResourceClass rc = assay::resource_class(op.kind);
+    anchor[id] =
+        rc == assay::ResourceClass::kNone
+            ? anchor[static_cast<std::size_t>(op.inputs.front())]
+            : operator_of(alive_of(rc)[static_cast<std::size_t>(
+                                           schedule.of(op.id).resource_index)]
+                              ->cells.front());
+    for (const std::int32_t input : op.inputs) {
+      const std::vector<CellIndex> route = router.shortest_route(
+          anchor[static_cast<std::size_t>(input)], anchor[id]);
+      if (route.empty()) return run;
+      hops += static_cast<std::int64_t>(route.size()) - 1;
+    }
+  }
+  run.operational = true;
+  run.completion_s =
+      schedule.makespan() + kTransportSecondsPerHop * static_cast<double>(hops);
+  run.slowdown = run.completion_s / workload.baseline_completion_s();
+  return run;
+}
+
+TEST(OperationalState, MatchesTheFromScratchOracleOnShuffledFaultSets) {
+  const auto& workload = multiplexed_workload();
+  struct Case {
+    std::vector<CellIndex> faulty;
+    CoveragePolicy policy;
+    ReplacementPool pool;
+  };
+  // 2400 fixed_count fault sets over m in [0, 60], each under both pools,
+  // alternating coverage policies; drawn in m order, evaluated shuffled.
+  std::vector<Case> cases;
+  Rng rng(0x0AC1E);
+  FaultState draw(workload->design_ptr());
+  for (int i = 0; i < 2400; ++i) {
+    inject(FaultModel::fixed_count(i % 61), draw, rng);
+    const std::vector<CellIndex> faulty(draw.faulty_cells().begin(),
+                                        draw.faulty_cells().end());
+    draw.reset();
+    const CoveragePolicy policy = i % 2 == 0
+                                      ? CoveragePolicy::kUsedFaultyPrimaries
+                                      : CoveragePolicy::kAllFaultyPrimaries;
+    for (const ReplacementPool pool :
+         {ReplacementPool::kSparesOnly,
+          ReplacementPool::kSparesAndUnusedPrimaries}) {
+      cases.push_back({faulty, policy, pool});
+    }
+  }
+  rng.shuffle(cases);
+
+  // One state for every case: its dense tables and warm memo must carry
+  // no history from one fault set to the next.
+  OperationalState state(workload);
+  int operational = 0;
+  int severed = 0;
+  int slowed = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Case& run_case = cases[c];
+    state.reset();
+    for (const CellIndex cell : run_case.faulty) {
+      state.faults().set_faulty(cell);
+    }
+    const OperationalRun got = state.evaluate(
+        run_case.policy, MatchingEngine::kHopcroftKarp, run_case.pool);
+    const OperationalRun want =
+        reference_evaluate(*workload, run_case.faulty, run_case.policy,
+                           MatchingEngine::kHopcroftKarp, run_case.pool);
+    ASSERT_EQ(got.structural, want.structural) << "case " << c;
+    ASSERT_EQ(got.operational, want.operational) << "case " << c;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.completion_s),
+              std::bit_cast<std::uint64_t>(want.completion_s))
+        << "case " << c;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.slowdown),
+              std::bit_cast<std::uint64_t>(want.slowdown))
+        << "case " << c;
+    if (got.operational) {
+      ++operational;
+      if (got.slowdown > 1.0) ++slowed;
+    } else {
+      ++severed;
+    }
+  }
+  // The sweep must reach every branch of the kernel.
+  EXPECT_GT(operational, 1000);
+  EXPECT_GT(severed, 30);
+  EXPECT_GT(slowed, 100);
 }
 
 // ------------------------------------------------- determinism (acceptance)
