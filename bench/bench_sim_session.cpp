@@ -354,13 +354,13 @@ void BM_McYieldRun_Mixture(benchmark::State& state) {
 BENCHMARK(BM_McYieldRun_Mixture);
 
 // Operational-workload kernel (not part of the CI ratio gate): one full
-// operational run on the Section-7 multiplexed workload — inject, plan the
-// reconfiguration, look up the degraded schedule for the surviving module
-// pool (memoised per pool, so warm iterations mostly hit), and measure the
-// droplet transports with A* hop counts. About an order of magnitude
-// heavier than the structural kernel, with the reconfiguration plan now
-// the largest layer; tracked so the fig13_operational campaign cost stays
-// visible.
+// operational run on the Section-7 multiplexed workload — inject, build the
+// reconfiguration plan from the design's matching skeleton, look up the
+// degraded schedule for the surviving module pool (memoised per pool, so
+// warm iterations mostly hit), and measure the droplet transports with one
+// HopBoard BFS wave per endpoint group (about four per run). Several times
+// heavier than the structural kernel, with routing its largest layer;
+// tracked so the fig13_operational campaign cost stays visible.
 
 void BM_McYieldRun_Operational(benchmark::State& state) {
   const auto workload = sim::AssayWorkload::multiplexed();

@@ -6,15 +6,14 @@
 //    After local reconfiguration the matched spares are activated, so routes
 //    transparently detour through replacement cells — this is the
 //    operational payoff of interstitial redundancy. Callers that only need
-//    a route's length use hop_count, a goal-directed A* search that skips
-//    the path reconstruction and most of the BFS frontier.
+//    route lengths use fluidics::HopBoard (hop_board.hpp), a word-parallel
+//    BFS that labels many targets per wave and builds no paths.
 //  * MultiDropletRouter — prioritised space-time routing for concurrent
 //    droplets: each droplet gets a timed route (cell per time step, waits
 //    allowed) that respects the static and dynamic fluidic constraints
 //    against all previously routed droplets.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -35,9 +34,6 @@ class UsableCells {
   void activate_spare(hex::CellIndex spare);
   /// Activates all replacement spares of `plan`.
   void activate_plan(const reconfig::ReconfigPlan& plan);
-
-  /// Undoes activate_plan(plan): its spares return to reserve.
-  void deactivate_plan(const reconfig::ReconfigPlan& plan);
 
   /// Adds a temporary obstacle (e.g. a parked droplet's exclusion zone).
   void block(hex::CellIndex cell);
@@ -70,21 +66,8 @@ class Router {
   /// True iff `to` is reachable from `from` over usable cells.
   bool reachable(hex::CellIndex from, hex::CellIndex to) const;
 
-  /// Length in hops of a shortest route (shortest_route(from, to).size() - 1),
-  /// or -1 when `to` is unreachable or either endpoint is unusable. An A*
-  /// search under the hex distance, which no usable route can beat; it
-  /// reuses the router's buffers, so it allocates nothing once warm and a
-  /// Router must not serve concurrent hop_count calls.
-  std::int32_t hop_count(hex::CellIndex from, hex::CellIndex to);
-
  private:
   const UsableCells& usable_;
-  // hop_count scratch: a cell's g value is valid iff its stamp is `epoch_`.
-  std::vector<std::int32_t> g_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
-  // Bucket open list by f = g + h mod 3: every hop raises f by 0, 1 or 2.
-  std::array<std::vector<hex::CellIndex>, 3> open_;
 };
 
 /// One droplet's routing request, in priority order.

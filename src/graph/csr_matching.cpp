@@ -74,13 +74,17 @@ bool CsrMatcher::hk_bfs(const CsrBipartiteGraph& graph) {
       queue_.push_back(a);
     }
   }
-  bool found_free_right = false;
+  free_layer_ = kInf;
   for (std::size_t head = 0; head < queue_.size(); ++head) {
     const std::int32_t a = queue_[head];
     for (const std::int32_t b : graph.neighbors_of_left(a)) {
       const std::int32_t back = match_right_[static_cast<std::size_t>(b)];
       if (back == kUnmatched) {
-        found_free_right = true;
+        // BFS order: the first free right vertex sits on the shortest
+        // augmenting layer.
+        if (free_layer_ == kInf) {
+          free_layer_ = layer_[static_cast<std::size_t>(a)];
+        }
       } else if (layer_[static_cast<std::size_t>(back)] == kInf) {
         layer_[static_cast<std::size_t>(back)] =
             layer_[static_cast<std::size_t>(a)] + 1;
@@ -88,7 +92,7 @@ bool CsrMatcher::hk_bfs(const CsrBipartiteGraph& graph) {
       }
     }
   }
-  return found_free_right;
+  return free_layer_ != kInf;
 }
 
 bool CsrMatcher::hk_augment(const CsrBipartiteGraph& graph, std::int32_t a) {
@@ -127,7 +131,10 @@ std::int32_t CsrMatcher::run_hopcroft_karp(const CsrBipartiteGraph& graph) {
 // blocking flow per level graph is exactly a maximal set of vertex-disjoint
 // shortest augmenting paths, so this is Dinic's algorithm with the flow
 // bookkeeping specialised away. The current-arc cursor gives the blocking
-// flow its amortised-linear phase cost.
+// flow its amortised-linear phase cost. The sink sits one level past the
+// shortest augmenting layer, so a free right vertex is admissible only from
+// that layer (free_layer_); this also makes the pairs equal those of the
+// general max-flow detail::dinic_matching, edge order for edge order.
 
 bool CsrMatcher::dinic_augment(const CsrBipartiteGraph& graph, std::int32_t a) {
   const auto neighbors = graph.neighbors_of_left(a);
@@ -135,10 +142,12 @@ bool CsrMatcher::dinic_augment(const CsrBipartiteGraph& graph, std::int32_t a) {
   for (; cursor < static_cast<std::int32_t>(neighbors.size()); ++cursor) {
     const std::int32_t b = neighbors[static_cast<std::size_t>(cursor)];
     const std::int32_t back = match_right_[static_cast<std::size_t>(b)];
-    const bool advance = back == kUnmatched ||
-                         (layer_[static_cast<std::size_t>(back)] ==
-                              layer_[static_cast<std::size_t>(a)] + 1 &&
-                          dinic_augment(graph, back));
+    const bool advance =
+        back == kUnmatched
+            ? layer_[static_cast<std::size_t>(a)] == free_layer_
+            : layer_[static_cast<std::size_t>(back)] ==
+                      layer_[static_cast<std::size_t>(a)] + 1 &&
+                  dinic_augment(graph, back);
     if (advance) {
       match_left_[static_cast<std::size_t>(a)] = b;
       match_right_[static_cast<std::size_t>(b)] = a;

@@ -12,6 +12,10 @@
 // All engines compute a maximum matching, so matching *size* — and
 // therefore repairability — is identical across engines and identical to
 // the BipartiteGraph-based detail:: implementations (pinned by tests).
+// Each engine also visits vertices and edges in the same order as its
+// detail:: twin, so on the same graph it picks the same pairs: a plan
+// built on CsrMatcher hands every faulty cell the spare the legacy
+// reconfigurer would.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +115,7 @@ class CsrMatcher {
   std::vector<std::int32_t> cursor_;      // Dinic current-arc per left vertex
   std::vector<std::int32_t> label_right_; // push-relabel right labels
   std::int32_t stamp_ = 0;
+  std::int32_t free_layer_ = 0;  // hk_bfs: first layer next to a free right
 };
 
 }  // namespace dmfb::graph

@@ -170,6 +170,20 @@ inline void count(Metric metric, std::int64_t delta = 1) noexcept {
              std::memory_order_relaxed);
 }
 
+/// Adds 1 to two counters on one shard resolution, so a concurrent
+/// install/uninstall cannot split the pair across registries.
+inline void count(Metric first, Metric second) noexcept {
+  detail::Shard* shard = detail::current_shard();
+  if (shard == nullptr) return;
+  const auto bump = [shard](Metric metric) {
+    auto& slot = shard->counters[static_cast<std::size_t>(metric)];
+    slot.store(slot.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  };
+  bump(first);
+  bump(second);
+}
+
 /// Records one duration into a histogram metric; no-op when disabled.
 void record_duration(Metric metric, std::int64_t ns) noexcept;
 

@@ -133,13 +133,13 @@ OperationalState::OperationalState(
     std::shared_ptr<const AssayWorkload> workload)
     : workload_(require_workload(std::move(workload))),
       faults_(workload_->design_ptr()),
-      array_(workload_->design().array()),
-      usable_(array_),
-      router_(usable_),
-      replacement_(static_cast<std::size_t>(array_.cell_count()),
+      board_(fluidics::UsableCells(workload_->design().array())),
+      replacement_(static_cast<std::size_t>(workload_->design().cell_count()),
                    hex::kInvalidCell),
       anchor_(static_cast<std::size_t>(workload_->graph_.op_count()),
-              hex::kInvalidCell) {
+              hex::kInvalidCell),
+      endpoint_load_(static_cast<std::size_t>(workload_->design().cell_count()),
+                     0) {
   const assay::ResourcePool& full = workload_->full_pool_;
   schedules_.resize(static_cast<std::size_t>(full.dispense_ports + 1) *
                     static_cast<std::size_t>(full.mixers + 1) *
@@ -149,67 +149,59 @@ OperationalState::OperationalState(
 OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
                                           graph::MatchingEngine engine,
                                           reconfig::ReplacementPool pool) {
-  // Mirror the fault bitmap onto the private array so the reconfig and
-  // fluidics layers see the drawn fault set.
-  for (const CellIndex cell : faults_.faulty_cells()) {
-    array_.set_health(cell, biochip::CellHealth::kFaulty);
-  }
-  const reconfig::ReconfigPlan plan = [&] {
+  {
     obs::ScopedSpan span("reconfig.plan", "op");
     const obs::ScopedDuration timer(obs::Metric::kReconfigPlanNs);
-    return reconfig::LocalReconfigurer(policy, engine, pool).plan(array_);
-  }();
+    faults_.plan(policy, engine, pool, plan_);
+  }
 
   OperationalRun run;
-  run.structural = plan.success;
-  const std::optional<double> completion = run_assay(plan);
+  run.structural = plan_.success;
+  const std::optional<double> completion = run_assay(plan_);
   run.operational = completion.has_value();
   if (completion) {
     run.completion_s = *completion;
     run.slowdown = *completion / workload_->baseline_completion_s_;
-  }
-
-  // Restore the mirror in O(#faults) for the next draw.
-  for (const CellIndex cell : faults_.faulty_cells()) {
-    array_.set_health(cell, biochip::CellHealth::kHealthy);
   }
   return run;
 }
 
 std::optional<double> OperationalState::run_assay(
     const reconfig::ReconfigPlan& plan) {
+  for (const CellIndex cell : faults_.faulty_cells()) board_.block(cell);
   for (const reconfig::Replacement& replacement : plan.replacements) {
     replacement_[static_cast<std::size_t>(replacement.faulty)] =
         replacement.spare;
+    board_.open(replacement.spare);
   }
-  const std::optional<double> completion = remapped_completion(plan);
+  const std::optional<double> completion = remapped_completion();
   for (const reconfig::Replacement& replacement : plan.replacements) {
     replacement_[static_cast<std::size_t>(replacement.faulty)] =
         hex::kInvalidCell;
+    board_.restore(replacement.spare);
   }
-  usable_.deactivate_plan(plan);
+  for (const CellIndex cell : faults_.faulty_cells()) board_.restore(cell);
   return completion;
 }
 
-std::optional<double> OperationalState::remapped_completion(
-    const reconfig::ReconfigPlan& plan) {
+std::optional<double> OperationalState::remapped_completion() {
   const assay::SequencingGraph& graph = workload_->graph_;
   const std::vector<WorkloadModule>& modules = workload_->modules_;
-  const auto replacement_of = [&](CellIndex cell) {
-    return replacement_[static_cast<std::size_t>(cell)];
+  // The cell that carries out `cell`'s duty: the cell itself when healthy,
+  // else the adjacent replacement the plan assigned (invalid when none).
+  const auto operator_of = [&](CellIndex cell) {
+    return faults_.is_faulty(cell)
+               ? replacement_[static_cast<std::size_t>(cell)]
+               : cell;
   };
-  // A module survives iff every one of its cells still has an operator:
-  // the cell itself when healthy, or the adjacent replacement the plan
-  // assigned its duties to.
-  const auto cell_operational = [&](CellIndex cell) {
-    return array_.health(cell) != biochip::CellHealth::kFaulty ||
-           replacement_of(cell) != hex::kInvalidCell;
-  };
+  // A module survives iff every one of its cells still has an operator.
   for (auto& alive : alive_by_kind_) alive.clear();
   for (std::size_t m = 0; m < modules.size(); ++m) {
     const WorkloadModule& module = modules[m];
     if (std::all_of(module.cells.begin(), module.cells.end(),
-                    cell_operational)) {
+                    [&](CellIndex cell) {
+                      return operator_of(cell) != hex::kInvalidCell;
+                    })) {
       alive_by_kind_[kind_slot(module.kind)].push_back(m);
     }
   }
@@ -241,8 +233,6 @@ std::optional<double> OperationalState::remapped_completion(
   // park at their producer's endpoint.
   obs::ScopedSpan route_span("fluidics.route", "op");
   const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
-  usable_.activate_plan(plan);
-  std::int64_t transport_hops = 0;
   for (const assay::AssayOp& op : graph.ops()) {
     const auto id = static_cast<std::size_t>(op.id);
     const auto kind = module_kind_of(assay::resource_class(op.kind));
@@ -251,24 +241,66 @@ std::optional<double> OperationalState::remapped_completion(
       const auto instance =
           static_cast<std::size_t>(schedule.of(op.id).resource_index);
       DMFB_ASSERT(instance < alive.size());
-      const CellIndex cell = modules[alive[instance]].cells.front();
-      anchor_[id] = array_.health(cell) == biochip::CellHealth::kFaulty
-                        ? replacement_of(cell)
-                        : cell;
+      anchor_[id] = operator_of(modules[alive[instance]].cells.front());
     } else {
       DMFB_ASSERT(!op.inputs.empty());
       anchor_[id] = anchor_[static_cast<std::size_t>(op.inputs.front())];
     }
     DMFB_ASSERT(anchor_[id] != hex::kInvalidCell);
     for (const std::int32_t input : op.inputs) {
-      const std::int32_t hops = router_.hop_count(
-          anchor_[static_cast<std::size_t>(input)], anchor_[id]);
-      if (hops < 0) return std::nullopt;  // transport severed: assay fails
-      transport_hops += hops;
+      transports_.push_back({anchor_[static_cast<std::size_t>(input)],
+                             anchor_[id]});
     }
   }
+  const std::optional<std::int64_t> hops = transport_hops();
+  if (!hops) return std::nullopt;  // transport severed: assay fails
   return schedule.makespan() +
-         kTransportSecondsPerHop * static_cast<double>(transport_hops);
+         kTransportSecondsPerHop * static_cast<double>(*hops);
+}
+
+std::optional<std::int64_t> OperationalState::transport_hops() {
+  // Hop counts are symmetric, so one BFS wave from an endpoint answers
+  // every pending transport that touches it. Waves start from the endpoint
+  // with the most pending transports (the first such in transport order).
+  const auto load = [&](CellIndex cell) -> std::int32_t& {
+    return endpoint_load_[static_cast<std::size_t>(cell)];
+  };
+  for (const Transport& transport : transports_) {
+    ++load(transport.from);
+    if (transport.to != transport.from) ++load(transport.to);
+  }
+  std::int64_t total = 0;
+  bool severed = false;
+  while (!transports_.empty() && !severed) {
+    CellIndex hub = transports_.front().from;
+    for (const Transport& transport : transports_) {
+      if (load(transport.from) > load(hub)) hub = transport.from;
+      if (load(transport.to) > load(hub)) hub = transport.to;
+    }
+    targets_.clear();
+    std::erase_if(transports_, [&](const Transport& transport) {
+      if (transport.from != hub && transport.to != hub) return false;
+      targets_.push_back(transport.from == hub ? transport.to
+                                               : transport.from);
+      --load(transport.from);
+      if (transport.to != transport.from) --load(transport.to);
+      return true;
+    });
+    hops_.resize(targets_.size());
+    board_.hop_counts(hub, targets_, hops_);
+    for (const std::int32_t hops : hops_) {
+      if (hops < 0) severed = true;
+      total += hops;
+    }
+  }
+  // Leave the load table zeroed for the next run.
+  for (const Transport& transport : transports_) {
+    load(transport.from) = 0;
+    load(transport.to) = 0;
+  }
+  transports_.clear();
+  if (severed) return std::nullopt;
+  return total;
 }
 
 const assay::Schedule& OperationalState::schedule_for(

@@ -13,23 +13,33 @@
 //
 // The per-run operational kernel (OperationalState::evaluate) is the first
 // place the top and bottom halves of the codebase meet in one Monte-Carlo
-// loop: it materialises the reconfig::ReconfigPlan for the drawn fault set,
+// loop: it builds the reconfig::ReconfigPlan for the drawn fault set,
 // applies it to the module placement (a faulty module cell survives iff the
 // plan hands its duty to an adjacent replacement), re-schedules the assay
 // with assay::ListScheduler on the surviving resource pool, and re-routes
-// the droplet transports with fluidics::Router over the repaired array
-// (activated replacement spares included). A run is operationally
-// successful iff every resource class the graph needs keeps >= 1 instance,
-// the degraded schedule exists, and every droplet transport still routes;
-// its completion time is the degraded makespan plus the routed transport
-// overhead, so "slowdown" = completion / healthy-baseline-completion.
+// the droplet transports over the repaired array (activated replacement
+// spares included). A run is operationally successful iff every resource
+// class the graph needs keeps >= 1 instance, the degraded schedule exists,
+// and every droplet transport still routes; its completion time is the
+// degraded makespan plus the routed transport overhead, so "slowdown" =
+// completion / healthy-baseline-completion.
+//
+// The plan comes from FaultState::plan: the design's pre-built matching
+// skeleton filtered by the fault words into a reused CSR graph. Its vertex
+// and edge order is the one reconfig::LocalReconfigurer builds, so every
+// engine picks the same spares the legacy reconfigurer would.
 //
 // Only transport hop counts enter the completion time, and a shortest-path
-// length does not depend on how a search breaks ties, so the kernel asks
-// Router::hop_count instead of materialising routes. The degraded schedule
-// is a pure function of the surviving (ports, mixers, detectors) pool, so
-// each OperationalState memoises it per pool — at most
-// (P+1)(M+1)(D+1) entries of the full pool, filled on first use.
+// length does not depend on how a search breaks ties, so the kernel never
+// materialises routes. A fluidics::HopBoard (the healthy design's usable
+// cells as a bitboard) takes the run's faults and plan spares, and each
+// BFS wave answers every pending transport that shares its start cell:
+// hop counts are symmetric, so the transports are grouped by endpoint and
+// the busiest endpoint goes first (one wave per mixer anchor on the
+// multiplexed assay). The degraded schedule is a pure function of the
+// surviving (ports, mixers, detectors) pool, so each OperationalState
+// memoises it per pool — at most (P+1)(M+1)(D+1) entries of the full pool,
+// filled on first use.
 //
 // Everything in the kernel is a deterministic function of the drawn fault
 // set, so operational estimates inherit the session's thread-count
@@ -45,7 +55,7 @@
 
 #include "assay/list_scheduler.hpp"
 #include "assay/sequencing_graph.hpp"
-#include "fluidics/router.hpp"
+#include "fluidics/hop_board.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
@@ -126,11 +136,10 @@ struct OperationalRun {
   double slowdown = 0.0;
 };
 
-/// Per-thread operational scratch: a FaultState for the injectors plus a
-/// private HexArray mirror the reconfig/fluidics layers run against, and the
-/// kernel's reusable tables (dense plan lookup, router buffers, schedule
-/// memo). Not thread-safe; use one per worker (mirrors FaultState's
-/// contract). Neither copyable nor movable: the router views the mirror.
+/// Per-thread operational scratch: a FaultState for the injectors, the
+/// reused repair plan and hop board, and the kernel's reusable tables
+/// (dense plan lookup, transport grouping, schedule memo). Not thread-safe;
+/// use one per worker (mirrors FaultState's contract). Not copyable.
 class OperationalState {
  public:
   explicit OperationalState(std::shared_ptr<const AssayWorkload> workload);
@@ -153,27 +162,40 @@ class OperationalState {
   void reset() noexcept { faults_.reset(); }
 
  private:
-  /// Completion time of the assay on the mirror repaired by `plan`, or
-  /// nullopt when it cannot complete. Deterministic in (mirror health,
-  /// plan); leaves the kernel tables as it found them.
+  /// One droplet transport between two op anchors.
+  struct Transport {
+    CellIndex from = hex::kInvalidCell;
+    CellIndex to = hex::kInvalidCell;
+  };
+
+  /// Completion time of the assay under the current faults repaired by
+  /// `plan`, or nullopt when it cannot complete. Deterministic in (faults,
+  /// plan); leaves the kernel tables and the hop board as it found them.
   std::optional<double> run_assay(const reconfig::ReconfigPlan& plan);
-  /// run_assay's body, with `replacement_` already holding the plan.
-  std::optional<double> remapped_completion(
-      const reconfig::ReconfigPlan& plan);
+  /// run_assay's body, with `replacement_` and `board_` holding the plan.
+  std::optional<double> remapped_completion();
+  /// Total hops of `transports_`, or nullopt when one is severed. Empties
+  /// `transports_`.
+  std::optional<std::int64_t> transport_hops();
   /// The degraded schedule for `surviving`, computed on first use.
   const assay::Schedule& schedule_for(const assay::ResourcePool& surviving);
 
   std::shared_ptr<const AssayWorkload> workload_;
   FaultState faults_;
-  biochip::HexArray array_;  ///< private faulted mirror for reconfig/fluidics
-  fluidics::UsableCells usable_;  ///< over array_; plan spares per run
-  fluidics::Router router_;       ///< over usable_
+  reconfig::ReconfigPlan plan_;  ///< this run's plan, capacity reused
+  /// The healthy design's usable cells; per run the faulty cells are
+  /// blocked and the plan's spares opened, then both restored.
+  fluidics::HopBoard board_;
   /// replacement_[cell] = the plan's spare for a faulty cell, else invalid.
   std::vector<CellIndex> replacement_;
   /// Memo slot (ports * (M+1) + mixers) * (D+1) + detectors of full_pool.
   std::vector<std::optional<assay::Schedule>> schedules_;
   std::array<std::vector<std::size_t>, 3> alive_by_kind_;  ///< module ids
   std::vector<CellIndex> anchor_;  ///< per-op transport endpoint
+  std::vector<Transport> transports_;   ///< this run's, pending
+  std::vector<std::int32_t> endpoint_load_;  ///< per cell: pending transports
+  std::vector<CellIndex> targets_;      ///< one wave's far endpoints
+  std::vector<std::int32_t> hops_;      ///< one wave's answers
 
   friend class AssayWorkload;  // computes its baseline through run_assay
 };

@@ -36,12 +36,14 @@ std::int32_t FaultState::next_epoch() noexcept {
   return epoch_;
 }
 
-bool FaultState::repairable(reconfig::CoveragePolicy policy,
-                            graph::MatchingEngine engine,
-                            reconfig::ReplacementPool pool) {
-  const ChipDesign::Skeleton& skeleton = design_->skeleton(policy, pool);
+template <bool kPlan>
+bool FaultState::build_graph(const ChipDesign::Skeleton& skeleton) {
   next_epoch();
   graph_.clear();
+  if constexpr (kPlan) {
+    left_cells_.clear();
+    right_cells_.clear();
+  }
   // Word-parallel scan: one AND per 64 cells selects the faulty primaries
   // the policy must cover; bit extraction then visits only the set bits.
   for (std::size_t w = 0; w < words_.size(); ++w) {
@@ -53,6 +55,7 @@ bool FaultState::repairable(reconfig::CoveragePolicy policy,
       const std::int32_t row =
           skeleton.cover_row_of_cell[static_cast<std::size_t>(cell)];
       graph_.open_row();
+      if constexpr (kPlan) left_cells_.push_back(cell);
       for (const CellIndex candidate :
            skeleton.candidates_of(static_cast<std::size_t>(row))) {
         if (is_faulty(candidate)) continue;
@@ -61,16 +64,48 @@ bool FaultState::repairable(reconfig::CoveragePolicy policy,
           stamp = epoch_;
           right_index_[static_cast<std::size_t>(candidate)] =
               graph_.right_count();
+          if constexpr (kPlan) right_cells_.push_back(candidate);
         }
         graph_.add_edge(right_index_[static_cast<std::size_t>(candidate)]);
       }
       // Hall's condition fails outright for an isolated faulty primary; the
       // legacy feasibility path short-circuits identically.
-      if (graph_.open_row_degree() == 0) return false;
+      if constexpr (!kPlan) {
+        if (graph_.open_row_degree() == 0) return false;
+      }
     }
   }
+  return true;
+}
+
+bool FaultState::repairable(reconfig::CoveragePolicy policy,
+                            graph::MatchingEngine engine,
+                            reconfig::ReplacementPool pool) {
+  if (!build_graph<false>(design_->skeleton(policy, pool))) return false;
   if (graph_.left_count() == 0) return true;
   return matcher_.covers_all_left(graph_, engine);
+}
+
+void FaultState::plan(reconfig::CoveragePolicy policy,
+                      graph::MatchingEngine engine,
+                      reconfig::ReplacementPool pool,
+                      reconfig::ReconfigPlan& out) {
+  build_graph<true>(design_->skeleton(policy, pool));
+  out.replacements.clear();
+  out.unrepairable.clear();
+  if (graph_.left_count() > 0) {
+    matcher_.maximum_matching_size(graph_, engine);
+    const std::span<const std::int32_t> match = matcher_.match_of_left();
+    for (std::size_t a = 0; a < left_cells_.size(); ++a) {
+      if (match[a] == graph::MatchingResult::kUnmatched) {
+        out.unrepairable.push_back(left_cells_[a]);
+      } else {
+        out.replacements.push_back(
+            {left_cells_[a], right_cells_[static_cast<std::size_t>(match[a])]});
+      }
+    }
+  }
+  out.success = out.unrepairable.empty();
 }
 
 // ------------------------------------------------------ incremental repair

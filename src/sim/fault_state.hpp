@@ -100,6 +100,17 @@ class FaultState {
                   graph::MatchingEngine engine,
                   reconfig::ReplacementPool pool);
 
+  /// The spare-assignment plan for the current fault state, written into
+  /// `out` (its capacity is reused). Builds the same CSR graph as
+  /// repairable() but keeps an isolated faulty primary as an unmatched row,
+  /// because the unrepairable cells belong to the plan. Rows follow cell
+  /// order, right ids are numbered by first use and candidates keep
+  /// skeleton order: the vertex and edge order reconfig::LocalReconfigurer
+  /// builds, so on an equally-faulted HexArray both pick the same spares
+  /// under every engine.
+  void plan(reconfig::CoveragePolicy policy, graph::MatchingEngine engine,
+            reconfig::ReplacementPool pool, reconfig::ReconfigPlan& out);
+
   /// Same verdict as repairable(), computed incrementally against the fault
   /// words this state saw on its previous repairable_incremental() call
   /// (see the header comment). The engine is implicit: augmentation is
@@ -127,6 +138,11 @@ class FaultState {
   static constexpr std::int32_t kIncrementalChurnSlack = 8;
 
  private:
+  /// Fills graph_ with one row per covered faulty primary. With kPlan the
+  /// row and right cells are recorded and isolated rows kept; without it
+  /// the build stops (returning false) at the first isolated row.
+  template <bool kPlan>
+  bool build_graph(const ChipDesign::Skeleton& skeleton);
   bool inc_augment(const ChipDesign::Skeleton& skeleton, CellIndex primary);
   std::int32_t next_epoch() noexcept;
 
@@ -141,6 +157,8 @@ class FaultState {
   std::int32_t epoch_ = 0;
   graph::CsrBipartiteGraph graph_;
   graph::CsrMatcher matcher_;
+  std::vector<CellIndex> left_cells_;   // plan(): row -> faulty primary
+  std::vector<CellIndex> right_cells_;  // plan(): right id -> candidate
 
   // Incremental-repair state: the committed fault words of the previous
   // call and the live matching in cell space (primary cell <-> candidate

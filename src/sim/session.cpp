@@ -240,16 +240,25 @@ std::shared_ptr<const ChipDesign> design_of(
 // query blocked on an identical computation started by another thread —
 // inherently schedule-dependent, hence an unstable counter. A miss is NOT
 // counted here: whether it resolves as computed or store-served is only
-// known after the promise-owner path runs (see run()).
+// known after the promise-owner path runs, and note_owner_outcome counts
+// its query there. Every query is counted exactly once, together with its
+// outcome on one shard, so a registry flip in between cannot leave an
+// outcome in one registry and its query in another.
 template <typename SharedFuture>
 void note_cache_outcome(bool hit, const SharedFuture& future) {
-  obs::count(obs::Metric::kSessionQueries);
   if (!hit) return;
-  obs::count(obs::Metric::kSessionCacheHits);
+  obs::count(obs::Metric::kSessionQueries, obs::Metric::kSessionCacheHits);
   if (obs::enabled() &&
       future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
     obs::count(obs::Metric::kSessionInflightJoins);
   }
+}
+
+// The promise owner's query, counted with its outcome on one shard.
+void note_owner_outcome(bool from_store) {
+  obs::count(obs::Metric::kSessionQueries,
+             from_store ? obs::Metric::kSessionStoreHits
+                        : obs::Metric::kSessionComputed);
 }
 
 }  // namespace
@@ -353,6 +362,7 @@ YieldEstimate Session::run(const YieldQuery& query) {
       // Fail every waiter with the original error, then drop the entry so a
       // later identical query may retry.
       promise->set_exception(std::current_exception());
+      obs::count(obs::Metric::kSessionQueries);  // no outcome to pair
       const std::scoped_lock lock(mutex_);
       cache_.erase(key);
       return future.get();  // rethrows for this caller too
@@ -374,8 +384,7 @@ YieldEstimate Session::run(const YieldQuery& query) {
       }
       note_completed_locked(cache_, completed_order_, key);
     }
-    obs::count(from_store ? obs::Metric::kSessionStoreHits
-                          : obs::Metric::kSessionComputed);
+    note_owner_outcome(from_store);
   }
   return future.get();
 }
@@ -425,6 +434,7 @@ OperationalEstimate Session::run_operational(const YieldQuery& query) {
       if (!from_store) result = execute_operational(query);
     } catch (...) {
       promise->set_exception(std::current_exception());
+      obs::count(obs::Metric::kSessionQueries);  // no outcome to pair
       const std::scoped_lock lock(mutex_);
       operational_cache_.erase(key);
       return future.get();
@@ -447,8 +457,7 @@ OperationalEstimate Session::run_operational(const YieldQuery& query) {
       note_completed_locked(operational_cache_, operational_completed_order_,
                             key);
     }
-    obs::count(from_store ? obs::Metric::kSessionStoreHits
-                          : obs::Metric::kSessionComputed);
+    note_owner_outcome(from_store);
   }
   return future.get();
 }

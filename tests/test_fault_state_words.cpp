@@ -6,7 +6,8 @@
 // possible reference — a per-cell byte vector — across random insert
 // sequences, and pins the verdict equivalence between the packed scan and
 // the legacy per-cell reconfig::LocalReconfigurer on arrays whose cell
-// counts sit exactly on the 64-bit word boundary (63 / 64 / 65 cells).
+// counts sit exactly on the 64-bit word boundary (63 / 64 / 65 cells) —
+// for the repair plans too, spare for spare, under every engine.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -188,6 +189,58 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
       }
     }
   }
+}
+
+TEST(FaultStateWords, PlanMatchesLegacyReconfigurerSpareForSpare) {
+  // FaultState::plan vs LocalReconfigurer::plan, same faults, every
+  // policy x pool x engine: the same replacements in the same order and
+  // the same unrepairable cells. One plan object is reused throughout, as
+  // the operational kernel reuses it.
+  Rng rng(0x91A4ULL);
+  reconfig::ReconfigPlan plan;
+  int failed_plans = 0;
+  for (const auto& [width, height] : kShapes) {
+    for (const DtmbKind kind : {DtmbKind::kDtmb1_6, DtmbKind::kDtmb2_6}) {
+      auto array = make_array(kind, width, height);
+      const auto design = ChipDesign::make(array);
+      FaultState state(design);
+      const std::int32_t n = design->cell_count();
+      for (std::int32_t trial = 0; trial < 60; ++trial) {
+        const double density = rng.uniform01() * 0.4;
+        array.reset_health();
+        state.reset();
+        for (std::int32_t cell = 0; cell < n; ++cell) {
+          if (rng.bernoulli(density)) {
+            array.set_health(cell, biochip::CellHealth::kFaulty);
+            state.set_faulty(cell);
+          }
+        }
+        for (const auto policy : kPolicies) {
+          for (const auto pool : kPools) {
+            for (const auto engine : kEngines) {
+              const reconfig::ReconfigPlan legacy =
+                  reconfig::LocalReconfigurer(policy, engine, pool)
+                      .plan(array);
+              state.plan(policy, engine, pool, plan);
+              ASSERT_EQ(plan.success, legacy.success) << "trial=" << trial;
+              ASSERT_EQ(plan.replacements.size(), legacy.replacements.size());
+              for (std::size_t r = 0; r < plan.replacements.size(); ++r) {
+                EXPECT_EQ(plan.replacements[r].faulty,
+                          legacy.replacements[r].faulty);
+                EXPECT_EQ(plan.replacements[r].spare,
+                          legacy.replacements[r].spare)
+                    << "trial=" << trial
+                    << " engine=" << static_cast<int>(engine);
+              }
+              EXPECT_EQ(plan.unrepairable, legacy.unrepairable);
+              if (!plan.success) ++failed_plans;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(failed_plans, 100) << "sweep must compare partial plans";
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // bipartite graphs (including empty and degenerate sides), Kuhn,
 // Hopcroft-Karp, Dinic and push-relabel must agree on the maximum-matching
 // size, and the allocation-free CSR matcher must agree with the legacy
-// BipartiteGraph engines instance-for-instance. This is the algebra local
-// reconfiguration stands on: engines is a campaign sweep axis, so a single
-// disagreeing instance would split yield curves by engine.
+// BipartiteGraph engines instance-for-instance — on the matched pairs too,
+// engine by engine, because the operational kernel's CSR-built repair plan
+// must hand out the spares the legacy reconfigurer would. This is the
+// algebra local reconfiguration stands on: engines is a campaign sweep
+// axis, so a single disagreeing instance would split yield curves by
+// engine.
 //
 // The second half fuzzes sim::FaultState's incremental-repair path:
 // randomized insert/remove fault sequences replayed incrementally must give
@@ -12,6 +15,7 @@
 // incremental matching passing its full invariant check after every step.
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,6 +64,27 @@ Instance random_instance(Rng& rng) {
   return instance;
 }
 
+/// Shuffles each row and renumbers the right vertices by first use (rows in
+/// order, edges in row order), the way FaultState numbers replacement
+/// candidates. Never-used right vertices are dropped, as in the kernel's
+/// graphs, where every right vertex is some row's candidate; both
+/// representations then count the same right side (push-relabel's label
+/// cutoff depends on it).
+Instance numbered_by_first_use(Instance instance, Rng& rng) {
+  std::vector<std::int32_t> id(static_cast<std::size_t>(instance.right), -1);
+  std::int32_t next = 0;
+  for (auto& row : instance.edges) {
+    rng.shuffle(row);
+    for (std::int32_t& b : row) {
+      auto& renamed = id[static_cast<std::size_t>(b)];
+      if (renamed < 0) renamed = next++;
+      b = renamed;
+    }
+  }
+  instance.right = next;
+  return instance;
+}
+
 BipartiteGraph legacy_graph(const Instance& instance) {
   BipartiteGraph graph(instance.left, instance.right);
   for (std::int32_t a = 0; a < instance.left; ++a) {
@@ -84,12 +109,19 @@ void build_csr(const Instance& instance, CsrBipartiteGraph& graph) {
 
 TEST(MatchingFuzz, EnginesAndCsrAgreeOnRandomInstances) {
   Rng rng(0x5EED5EEDULL);
+  // Row shuffles for the renumbered copies draw from their own stream, so
+  // `rng` yields the same raw instances the size checks have always run on.
+  Rng order_rng(0x0DE5EEDULL);
   CsrBipartiteGraph csr;     // reused across instances, as in the hot loop
+  CsrBipartiteGraph renumbered_csr;
   CsrMatcher matcher;
   for (std::int32_t trial = 0; trial < 3000; ++trial) {
     const Instance instance = random_instance(rng);
     const BipartiteGraph legacy = legacy_graph(instance);
     build_csr(instance, csr);
+    const Instance renumbered = numbered_by_first_use(instance, order_rng);
+    const BipartiteGraph renumbered_legacy = legacy_graph(renumbered);
+    build_csr(renumbered, renumbered_csr);
 
     const MatchingResult reference = maximum_matching(legacy, kEngines[0]);
     EXPECT_TRUE(is_valid_matching(legacy, reference)) << "trial=" << trial;
@@ -103,6 +135,21 @@ TEST(MatchingFuzz, EnginesAndCsrAgreeOnRandomInstances) {
       EXPECT_EQ(matcher.covers_all_left(csr, engine),
                 reference.covers_all_left())
           << "trial=" << trial;
+
+      // Pairs, on the first-use-numbered copy the kernel would build.
+      const MatchingResult legacy_pairs =
+          maximum_matching(renumbered_legacy, engine);
+      EXPECT_EQ(legacy_pairs.size, reference.size)
+          << "trial=" << trial << " renumbered engine="
+          << static_cast<int>(engine);
+      EXPECT_EQ(matcher.maximum_matching_size(renumbered_csr, engine),
+                reference.size)
+          << "trial=" << trial << " renumbered csr engine="
+          << static_cast<int>(engine);
+      const std::span<const std::int32_t> pairs = matcher.match_of_left();
+      EXPECT_EQ(std::vector<std::int32_t>(pairs.begin(), pairs.end()),
+                legacy_pairs.match_of_left)
+          << "trial=" << trial << " pairs engine=" << static_cast<int>(engine);
     }
   }
 }

@@ -10,11 +10,13 @@
 // Workload::kStructural, so the two halves of the codebase agree on
 // repairability run-for-run. The fig13_operational campaign CSV is pinned
 // as a golden file, like fig9_smoke. An oracle test checks the kernel's
-// reusable tables, hop-count search and schedule memo field for field
-// against a from-scratch evaluator built on BFS routes.
+// skeleton-built plan, reusable tables, bitboard hop counts and schedule
+// memo field for field against a from-scratch evaluator built on
+// reconfig::LocalReconfigurer and BFS routes, under every matching engine.
 #include <algorithm>
 #include <bit>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -135,7 +137,7 @@ TEST(OperationalState, LostMixerDegradesGracefully) {
   EXPECT_TRUE(run.operational);  // 3 mixers still serve the 4 chains
   EXPECT_GT(run.slowdown, 1.0);
 
-  // The mirror restores itself: after reset the healthy baseline is back.
+  // The hop board restores itself: after reset the healthy baseline is back.
   state.reset();
   const OperationalRun healthy =
       state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
@@ -259,9 +261,17 @@ TEST(OperationalState, MatchesTheFromScratchOracleOnShuffledFaultSets) {
     std::vector<CellIndex> faulty;
     CoveragePolicy policy;
     ReplacementPool pool;
+    MatchingEngine engine;
   };
+  // Every engine must plan the spares LocalReconfigurer plans, so the
+  // cases rotate through all of them.
+  constexpr MatchingEngine kEngines[] = {
+      MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
+      MatchingEngine::kDinic, MatchingEngine::kPushRelabel,
+      MatchingEngine::kAuto};
   // 2400 fixed_count fault sets over m in [0, 60], each under both pools,
-  // alternating coverage policies; drawn in m order, evaluated shuffled.
+  // alternating coverage policies, engines in turn; drawn in m order,
+  // evaluated shuffled.
   std::vector<Case> cases;
   Rng rng(0x0AC1E);
   FaultState draw(workload->design_ptr());
@@ -276,7 +286,8 @@ TEST(OperationalState, MatchesTheFromScratchOracleOnShuffledFaultSets) {
     for (const ReplacementPool pool :
          {ReplacementPool::kSparesOnly,
           ReplacementPool::kSparesAndUnusedPrimaries}) {
-      cases.push_back({faulty, policy, pool});
+      cases.push_back(
+          {faulty, policy, pool, kEngines[cases.size() % std::size(kEngines)]});
     }
   }
   rng.shuffle(cases);
@@ -293,11 +304,11 @@ TEST(OperationalState, MatchesTheFromScratchOracleOnShuffledFaultSets) {
     for (const CellIndex cell : run_case.faulty) {
       state.faults().set_faulty(cell);
     }
-    const OperationalRun got = state.evaluate(
-        run_case.policy, MatchingEngine::kHopcroftKarp, run_case.pool);
+    const OperationalRun got =
+        state.evaluate(run_case.policy, run_case.engine, run_case.pool);
     const OperationalRun want =
         reference_evaluate(*workload, run_case.faulty, run_case.policy,
-                           MatchingEngine::kHopcroftKarp, run_case.pool);
+                           run_case.engine, run_case.pool);
     ASSERT_EQ(got.structural, want.structural) << "case " << c;
     ASSERT_EQ(got.operational, want.operational) << "case " << c;
     ASSERT_EQ(std::bit_cast<std::uint64_t>(got.completion_s),
