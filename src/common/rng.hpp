@@ -145,7 +145,7 @@ constexpr std::uint64_t counter_mix(std::uint64_t key,
 /// Random access (`at`) never moves the cursor; the serial helpers
 /// (`next`/`uniform01`/`bernoulli`/`uniform_below`) advance it one counter
 /// per raw draw, and `skip` advances it without hashing — consuming a draw
-/// another replay site materialises (e.g. a defect-classification value the
+/// another layer materialises (e.g. a defect-classification value the
 /// bitmap path never reads) costs nothing.
 class CounterStream {
  public:
@@ -198,7 +198,7 @@ class CounterStream {
   }
 
   /// Advances the cursor by `draws` without hashing: burns draws a parallel
-  /// replay site consumes (classification/attribution values) for free.
+  /// layer consumes (classification/attribution values) for free.
   void skip(std::uint64_t draws) noexcept { cursor_ += draws; }
 
  private:

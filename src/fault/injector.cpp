@@ -1,36 +1,129 @@
+// Every fault:: injector's inject / inject_v2. The draws are the kind-level
+// sequences of fault/draws.hpp; what this file adds is one first-faulter-
+// wins recorder per fault class, shared by both draw contracts, standalone
+// injectors and mixture components alike.
 #include "fault/injector.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/contracts.hpp"
-#include "fault/inject_v2.hpp"
-#include "hexgrid/hex_coord.hpp"
+#include "fault/mixture.hpp"
+#include "fault/parametric.hpp"
 
 namespace dmfb::fault {
 
 namespace {
 
-/// Largest mean handled by Knuth's direct product method (and the chunk
-/// size of the large-mean exponent folding): exp(-700) is still a normal
-/// double, with plenty of margin to the ~745 underflow edge.
-constexpr double kPoissonDirectMeanLimit = 700.0;
-
-FaultRecord make_catastrophic_record(hex::CellIndex cell, Rng& rng) {
+/// One catastrophic kill. The classification draw is always consumed, but
+/// a cell an earlier mixture component already faulted keeps its record.
+template <typename Stream>
+void record_catastrophic(biochip::HexArray& array, FaultMap& map,
+                         hex::CellIndex cell, Stream& stream) {
+  const CatastrophicDefect defect = sample_catastrophic_defect(stream);
+  if (array.health(cell) == biochip::CellHealth::kFaulty) return;
+  array.set_health(cell, biochip::CellHealth::kFaulty);
   FaultRecord record;
   record.cell = cell;
   record.fault_class = FaultClass::kCatastrophic;
-  record.catastrophic = sample_catastrophic_defect(rng);
-  return record;
+  record.catastrophic = defect;
+  map.records.push_back(record);
 }
 
-FaultRecord make_catastrophic_record_v2(hex::CellIndex cell,
-                                        CounterStream& stream) {
+/// One parametric fault, under the same first-faulter-wins rule.
+void record_parametric(biochip::HexArray& array, FaultMap& map,
+                       hex::CellIndex cell, ParametricDefect parameter,
+                       double deviation) {
+  if (array.health(cell) == biochip::CellHealth::kFaulty) return;
+  array.set_health(cell, biochip::CellHealth::kFaulty);
   FaultRecord record;
   record.cell = cell;
-  record.fault_class = FaultClass::kCatastrophic;
-  record.catastrophic = sample_catastrophic_defect(stream);
-  return record;
+  record.fault_class = FaultClass::kParametric;
+  record.parametric = parameter;
+  record.deviation = deviation;
+  map.records.push_back(record);
+}
+
+// apply() runs one component's draws on `array`, which may already carry
+// earlier components' faults.
+
+template <typename Stream>
+void apply(const BernoulliInjector& injector, biochip::HexArray& array,
+           FaultMap& map, Stream& stream) {
+  bernoulli_draws(stream, array.cell_count(),
+                  1.0 - injector.survival_probability(),
+                  [&](hex::CellIndex cell) {
+                    record_catastrophic(array, map, cell, stream);
+                  });
+}
+
+template <typename Stream>
+void apply(const FixedCountInjector& injector, biochip::HexArray& array,
+           FaultMap& map, Stream& stream) {
+  fixed_count_draws(stream, array.cell_count(), injector.count(),
+                    [&](hex::CellIndex cell) {
+                      record_catastrophic(array, map, cell, stream);
+                    });
+}
+
+template <typename Stream>
+void apply(const ClusteredInjector& injector, biochip::HexArray& array,
+           FaultMap& map, Stream& stream) {
+  clustered_draws(
+      stream, array.region(), injector.mean_spots(), injector.radius(),
+      injector.core_kill_prob(), injector.edge_kill_prob(),
+      [&](hex::CellIndex cell) {
+        return array.health(cell) == biochip::CellHealth::kFaulty;
+      },
+      [&](hex::CellIndex cell) {
+        record_catastrophic(array, map, cell, stream);
+      });
+}
+
+void apply(const ParametricInjector& injector, biochip::HexArray& array,
+           FaultMap& map, Rng& rng) {
+  parametric_draws(rng, injector, array.cell_count(),
+                   [&](hex::CellIndex cell, const Deviation& worst) {
+                     record_parametric(array, map, cell, worst.parameter,
+                                       worst.value);
+                   });
+}
+
+/// v2 records the attributed parameter with its tolerance as deviation.
+void apply(const ParametricInjector& injector, biochip::HexArray& array,
+           FaultMap& map, CounterStream& stream) {
+  const ProcessSpec& spec = injector.spec();
+  const std::array<double, 3> weights =
+      parametric_attribution_weights_v2(spec);
+  parametric_draws(stream, injector, array.cell_count(),
+                   [&](hex::CellIndex cell) {
+                     const ParameterSpec& param =
+                         spec.parameters[pick_parametric_attribution_v2(
+                             weights, stream.uniform01())];
+                     record_parametric(array, map, cell, param.parameter,
+                                       param.tolerance);
+                   });
+}
+
+/// A standalone injection: one component on a healthy array.
+template <typename Injector, typename Stream>
+FaultMap inject_healthy(const Injector& injector, biochip::HexArray& array,
+                        Stream& stream) {
+  DMFB_EXPECTS(array.faulty_count() == 0);
+  FaultMap map;
+  apply(injector, array, map, stream);
+  return map;
+}
+
+template <typename Stream>
+FaultMap inject_mixture(
+    const std::vector<MixtureInjector::Component>& components,
+    biochip::HexArray& array, Stream& stream) {
+  DMFB_EXPECTS(array.faulty_count() == 0);
+  FaultMap map;
+  for (const MixtureInjector::Component& component : components) {
+    std::visit(
+        [&](const auto& injector) { apply(injector, array, map, stream); },
+        component);
+  }
+  return map;
 }
 
 }  // namespace
@@ -41,29 +134,12 @@ BernoulliInjector::BernoulliInjector(double survival_p)
 }
 
 FaultMap BernoulliInjector::inject(biochip::HexArray& array, Rng& rng) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  FaultMap map;
-  const double kill_prob = 1.0 - survival_p_;
-  for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
-    if (rng.bernoulli(kill_prob)) {
-      array.set_health(cell, biochip::CellHealth::kFaulty);
-      map.records.push_back(make_catastrophic_record(cell, rng));
-    }
-  }
-  return map;
+  return inject_healthy(*this, array, rng);
 }
 
 FaultMap BernoulliInjector::inject_v2(biochip::HexArray& array,
                                       CounterStream& stream) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  FaultMap map;
-  skip_sample_bernoulli(stream, array.cell_count(), 1.0 - survival_p_,
-                        [&](std::int32_t cell) {
-                          array.set_health(cell, biochip::CellHealth::kFaulty);
-                          map.records.push_back(
-                              make_catastrophic_record_v2(cell, stream));
-                        });
-  return map;
+  return inject_healthy(*this, array, stream);
 }
 
 FixedCountInjector::FixedCountInjector(std::int32_t count) : count_(count) {
@@ -71,67 +147,12 @@ FixedCountInjector::FixedCountInjector(std::int32_t count) : count_(count) {
 }
 
 FaultMap FixedCountInjector::inject(biochip::HexArray& array, Rng& rng) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  DMFB_EXPECTS(count_ <= array.cell_count());
-  FaultMap map;
-  for (const std::int32_t cell :
-       rng.sample_without_replacement(array.cell_count(), count_)) {
-    array.set_health(cell, biochip::CellHealth::kFaulty);
-    map.records.push_back(make_catastrophic_record(cell, rng));
-  }
-  return map;
+  return inject_healthy(*this, array, rng);
 }
 
 FaultMap FixedCountInjector::inject_v2(biochip::HexArray& array,
                                        CounterStream& stream) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  DMFB_EXPECTS(count_ <= array.cell_count());
-  FaultMap map;
-  fixed_count_v2(stream, array.cell_count(), count_,
-                 [&](std::int32_t cell) {
-                   array.set_health(cell, biochip::CellHealth::kFaulty);
-                   map.records.push_back(
-                       make_catastrophic_record_v2(cell, stream));
-                 });
-  return map;
-}
-
-std::int32_t sample_poisson(double mean, Rng& rng) {
-  DMFB_EXPECTS(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean <= kPoissonDirectMeanLimit) {
-    // Knuth's product method, exactly as originally shipped: the equivalence
-    // suite pins this draw sequence bit-for-bit for small means, so the
-    // small-mean branch must never change.
-    const double limit = std::exp(-mean);
-    std::int32_t k = 0;
-    double product = 1.0;
-    do {
-      ++k;
-      product *= rng.uniform01();
-    } while (product > limit);
-    return k - 1;
-  }
-  // Large means: exp(-mean) underflows to 0 past mean ~ 745, so the direct
-  // limit comparison only terminates once the uniform product itself
-  // underflows (~750 iterations) — a heavily biased sample. Fold e^mean
-  // into the product in chunks instead: stop at the first k + 1 draws with
-  // u_1 ... u_{k+1} * e^mean < 1, which is the same stopping rule in a
-  // range the floating-point format can represent.
-  std::int32_t k = 0;
-  double product = 1.0;
-  double pending_exponent = mean;
-  for (;;) {
-    product *= rng.uniform01();
-    while (product < 1.0 && pending_exponent > 0.0) {
-      const double step =
-          std::min(pending_exponent, kPoissonDirectMeanLimit);
-      product *= std::exp(step);
-      pending_exponent -= step;
-    }
-    if (pending_exponent <= 0.0 && product <= 1.0) return k;
-    ++k;
-  }
+  return inject_healthy(*this, array, stream);
 }
 
 ClusteredInjector::ClusteredInjector(double mean_spots, std::int32_t radius,
@@ -148,47 +169,12 @@ ClusteredInjector::ClusteredInjector(double mean_spots, std::int32_t radius,
 }
 
 FaultMap ClusteredInjector::inject(biochip::HexArray& array, Rng& rng) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  FaultMap map;
-  const std::int32_t spots = sample_poisson(mean_spots_, rng);
-  for (std::int32_t spot = 0; spot < spots; ++spot) {
-    const auto center_index = static_cast<std::int32_t>(
-        rng.uniform_below(static_cast<std::uint64_t>(array.cell_count())));
-    const hex::HexCoord center = array.region().coord_at(center_index);
-    for (const hex::HexCoord at : hex::disk(center, radius_)) {
-      const hex::CellIndex cell = array.region().index_of(at);
-      if (cell == hex::kInvalidCell) continue;  // spot clipped by boundary
-      if (array.health(cell) == biochip::CellHealth::kFaulty) continue;
-      const double t =
-          radius_ == 0 ? 0.0
-                       : static_cast<double>(hex::distance(center, at)) /
-                             static_cast<double>(radius_);
-      const double kill_prob =
-          core_kill_prob_ + (edge_kill_prob_ - core_kill_prob_) * t;
-      if (rng.bernoulli(kill_prob)) {
-        array.set_health(cell, biochip::CellHealth::kFaulty);
-        map.records.push_back(make_catastrophic_record(cell, rng));
-      }
-    }
-  }
-  return map;
+  return inject_healthy(*this, array, rng);
 }
 
 FaultMap ClusteredInjector::inject_v2(biochip::HexArray& array,
                                       CounterStream& stream) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  FaultMap map;
-  clustered_v2(
-      stream, array.region(), array.cell_count(), mean_spots_, radius_,
-      core_kill_prob_, edge_kill_prob_,
-      [&](hex::CellIndex cell) {
-        return array.health(cell) == biochip::CellHealth::kFaulty;
-      },
-      [&](hex::CellIndex cell) {
-        array.set_health(cell, biochip::CellHealth::kFaulty);
-        map.records.push_back(make_catastrophic_record_v2(cell, stream));
-      });
-  return map;
+  return inject_healthy(*this, array, stream);
 }
 
 double ClusteredInjector::expected_failures_per_spot() const noexcept {
@@ -201,6 +187,29 @@ double ClusteredInjector::expected_failures_per_spot() const noexcept {
     expected += 6.0 * d * kill_prob;
   }
   return expected;
+}
+
+FaultMap ParametricInjector::inject(biochip::HexArray& array, Rng& rng) const {
+  return inject_healthy(*this, array, rng);
+}
+
+FaultMap ParametricInjector::inject_v2(biochip::HexArray& array,
+                                       CounterStream& stream) const {
+  return inject_healthy(*this, array, stream);
+}
+
+MixtureInjector::MixtureInjector(std::vector<Component> components)
+    : components_(std::move(components)) {
+  DMFB_EXPECTS(!components_.empty());
+}
+
+FaultMap MixtureInjector::inject(biochip::HexArray& array, Rng& rng) const {
+  return inject_mixture(components_, array, rng);
+}
+
+FaultMap MixtureInjector::inject_v2(biochip::HexArray& array,
+                                    CounterStream& stream) const {
+  return inject_mixture(components_, array, stream);
 }
 
 }  // namespace dmfb::fault

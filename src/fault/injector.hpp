@@ -14,47 +14,20 @@
 //
 // Injectors mark cells faulty on the array and return the FaultMap with a
 // concrete catastrophic-defect attribution (sampled from the Section 4
-// taxonomy) so downstream reporting can show realistic fault mixes.
+// taxonomy) so downstream reporting can show realistic fault mixes. Their
+// draws are the kind-level sequences of fault/draws.hpp (which also holds
+// sample_poisson and sample_catastrophic_defect); this layer only records.
+// A standalone inject is a one-component MixtureInjector on a healthy array.
 #pragma once
 
 #include <cstdint>
 
 #include "biochip/hex_array.hpp"
 #include "common/rng.hpp"
+#include "fault/draws.hpp"
 #include "fault/fault_model.hpp"
 
 namespace dmfb::fault {
-
-/// Relative frequencies of the three catastrophic defect mechanisms.
-/// Dielectric breakdown dominates in electrowetting devices (high-voltage
-/// stress), shorts and opens split the remainder (open-connection weight is
-/// the 0.2 remainder).
-inline constexpr double kBreakdownWeight = 0.5;
-inline constexpr double kShortWeight = 0.3;
-
-/// Samples a catastrophic defect type with the given relative weights
-/// (breakdown : short : open). Exposed for tests. Inline: the MC injection
-/// loops burn one classification draw per injected fault, in sequence with
-/// the per-cell draws.
-inline CatastrophicDefect sample_catastrophic_defect(Rng& rng) {
-  const double u = rng.uniform01();
-  if (u < kBreakdownWeight) return CatastrophicDefect::kDielectricBreakdown;
-  if (u < kBreakdownWeight + kShortWeight) {
-    return CatastrophicDefect::kElectrodeShort;
-  }
-  return CatastrophicDefect::kOpenConnection;
-}
-
-/// v2 classification draw: same taxonomy weights, consuming exactly one
-/// counter off the stream — the draw the bitmap path skip(1)s past.
-inline CatastrophicDefect sample_catastrophic_defect(CounterStream& stream) {
-  const double u = stream.uniform01();
-  if (u < kBreakdownWeight) return CatastrophicDefect::kDielectricBreakdown;
-  if (u < kBreakdownWeight + kShortWeight) {
-    return CatastrophicDefect::kElectrodeShort;
-  }
-  return CatastrophicDefect::kOpenConnection;
-}
 
 /// Each cell fails independently with probability 1 - survival_p.
 class BernoulliInjector {
@@ -69,7 +42,7 @@ class BernoulliInjector {
 
   /// v2 contract: geometric skip-sampling over the per-run counter stream —
   /// O(faults) draws instead of one per cell. Statistically equivalent to
-  /// inject() but on a different draw trajectory (fault/inject_v2.hpp).
+  /// inject() but on a different draw trajectory (fault/draws.hpp).
   FaultMap inject_v2(biochip::HexArray& array, CounterStream& stream) const;
 
  private:
@@ -123,11 +96,5 @@ class ClusteredInjector {
   double core_kill_prob_;
   double edge_kill_prob_;
 };
-
-/// Poisson sampler — exposed for tests. Knuth's product method for means up
-/// to 700 (draw sequence frozen by the sim equivalence suite); above that,
-/// the e^-mean limit underflows, so the exponent is folded into the uniform
-/// product in representable chunks instead of being biased to ~750.
-std::int32_t sample_poisson(double mean, Rng& rng);
 
 }  // namespace dmfb::fault

@@ -7,18 +7,15 @@
 // composes any of the four single-mechanism injectors into one defect draw
 // per run.
 //
-// Composition contract (mirrored bit-for-bit by sim::FaultModel::mixture —
-// the equivalence suite pins the two against each other):
-//  * Every component consumes the Rng exactly as its standalone injector
-//    would: the per-cell Bernoulli / sample-without-replacement / Gaussian
-//    deviation draws never depend on what earlier components did.
-//    (ClusteredInjector is the one exception by its standalone definition:
-//    its per-cell kill draws already skip cells that are faulty, so in a
-//    mixture they see the earlier components' faults — same as standalone.)
-//  * First faulter wins: a cell already marked faulty by an earlier
-//    component is never re-marked or re-attributed. A catastrophic
-//    component still burns its defect-classification draw for an absorbed
-//    kill (stream alignment); the record is simply not emitted.
+// Composition contract (the mixture row of the draw table in
+// fault/draws.hpp; sim::FaultModel::mixture follows the same table):
+//  * Components run in order on one stream, each with the draws of its
+//    standalone injector. Only the spot walk looks at earlier faults: it
+//    skips the kill draw of a cell already faulty, as it does standalone.
+//  * First faulter wins: a cell an earlier component faulted is never
+//    re-marked or re-attributed, but an absorbed kill still consumes its
+//    classification or attribution draw; only the record is dropped.
+// A standalone injector's inject is this class with one component.
 #pragma once
 
 #include <variant>
@@ -50,10 +47,7 @@ class MixtureInjector {
   /// the first-faulter-wins fault map, in component order.
   FaultMap inject(biochip::HexArray& array, Rng& rng) const;
 
-  /// v2 contract: the same composition rules on one shared counter stream —
-  /// components run in order, each consuming its standalone inject_v2 draw
-  /// sequence (fault/inject_v2.hpp); first faulter wins, and an absorbed
-  /// kill still consumes its classification/attribution draw.
+  /// v2 contract: the same composition rules on one shared counter stream.
   FaultMap inject_v2(biochip::HexArray& array, CounterStream& stream) const;
 
  private:

@@ -72,7 +72,8 @@ class ParametricInjector {
   /// bit, which the statistical-equivalence suite pins against v1).
   FaultMap inject_v2(biochip::HexArray& array, CounterStream& stream) const;
 
-  /// Samples the three deviations of one cell (exposed for tests).
+  /// Samples the three deviations of one cell: the per-cell v1 draws of
+  /// fault/draws.hpp (exposed for tests).
   std::array<Deviation, 3> sample_cell(Rng& rng) const;
 
  private:

@@ -4,11 +4,8 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "fault/inject_v2.hpp"
-#include "fault/injector.hpp"
-#include "fault/mixture.hpp"
+#include "fault/draws.hpp"
 #include "fault/parametric.hpp"
-#include "hexgrid/hex_coord.hpp"
 #include "obs/metrics.hpp"
 
 namespace dmfb::sim {
@@ -23,107 +20,57 @@ struct InjectTally {
   std::int64_t classification = 0;  ///< catastrophic-defect draws (burns)
 };
 
-/// The legacy injectors draw one catastrophic-defect classification per
-/// injected fault (fault::sample_catastrophic_defect). The bitmap path has
-/// no FaultMap to fill, but must burn the identical draw to stay on the
-/// same Rng trajectory.
-inline void burn_defect_classification(Rng& rng) {
-  (void)fault::sample_catastrophic_defect(rng);
-}
-
-// Each inject_* function is draw-for-draw identical to its fault::*Injector
-// counterpart, and — because FaultState::set_faulty is idempotent and the
-// classification burn happens regardless — also implements the mixture
-// contract (fault::MixtureInjector) when the state arrives pre-faulted:
-// draws replay the standalone sequence, first faulter wins.
-
-void inject_bernoulli(double survival_p, FaultState& state, Rng& rng,
-                      InjectTally& tally) {
-  const double kill_prob = 1.0 - survival_p;
-  const std::int32_t n = state.design().cell_count();
-  tally.trials += n;
-  for (std::int32_t cell = 0; cell < n; ++cell) {
-    if (rng.bernoulli(kill_prob)) {
-      state.set_faulty(cell);
-      burn_defect_classification(rng);
-      ++tally.classification;
-    }
-  }
-}
-
-void inject_fixed_count(std::int32_t count, FaultState& state, Rng& rng,
-                        InjectTally& tally) {
-  tally.trials += count;
-  tally.classification += count;
-  for (const std::int32_t cell :
-       rng.sample_without_replacement(state.design().cell_count(), count)) {
-    state.set_faulty(cell);
-    burn_defect_classification(rng);
-  }
-}
-
-void inject_clustered(double mean_spots, const ClusterShape& shape,
-                      FaultState& state, Rng& rng, InjectTally& tally) {
-  const hex::Region& region = state.design().array().region();
-  const std::int32_t spots = fault::sample_poisson(mean_spots, rng);
-  for (std::int32_t spot = 0; spot < spots; ++spot) {
-    const auto center_index = static_cast<std::int32_t>(rng.uniform_below(
-        static_cast<std::uint64_t>(state.design().cell_count())));
-    const hex::HexCoord center = region.coord_at(center_index);
-    for (const hex::HexCoord at : hex::disk(center, shape.radius)) {
-      const CellIndex cell = region.index_of(at);
-      if (cell == hex::kInvalidCell) continue;  // spot clipped by boundary
-      if (state.is_faulty(cell)) continue;
-      const double t = shape.radius == 0
-                           ? 0.0
-                           : static_cast<double>(hex::distance(center, at)) /
-                                 static_cast<double>(shape.radius);
-      const double kill_prob =
-          shape.core_kill + (shape.edge_kill - shape.core_kill) * t;
-      ++tally.trials;
-      if (rng.bernoulli(kill_prob)) {
-        state.set_faulty(cell);
-        burn_defect_classification(rng);
-        ++tally.classification;
-      }
-    }
-  }
-}
-
-void inject_parametric(double sigma_scale, FaultState& state, Rng& rng,
-                       InjectTally& tally) {
-  // Replays fault::ParametricInjector(typical().scaled(sigma_scale)):
-  // sample_cell always draws three deviations (no fault-state dependence),
-  // and parametric faults carry no catastrophic-classification burn.
-  const fault::ParametricInjector injector(
-      fault::ProcessSpec::typical().scaled(sigma_scale));
-  const std::int32_t n = state.design().cell_count();
-  tally.trials += n;
-  for (std::int32_t cell = 0; cell < n; ++cell) {
-    bool out_of_tolerance = false;
-    for (const fault::Deviation& deviation : injector.sample_cell(rng)) {
-      out_of_tolerance |= deviation.out_of_tolerance;
-    }
-    if (out_of_tolerance) state.set_faulty(cell);
-  }
-}
+// The bitmap callbacks for the kind-level draws of fault/draws.hpp. The
+// bitmap keeps no records, so a callback consumes the classification or
+// attribution draw the fault:: layer samples without reading it. Because
+// set_faulty is idempotent, the same callbacks implement first-faulter-wins
+// when a mixture component finds the state pre-faulted.
 
 void inject_component(const FaultModel& model, FaultState& state, Rng& rng,
                       InjectTally& tally) {
+  const std::int32_t cells = state.design().cell_count();
+  const auto kill = [&](CellIndex cell) {
+    state.set_faulty(cell);
+    (void)fault::sample_catastrophic_defect(rng);  // classification draw
+    ++tally.classification;
+  };
   switch (model.kind) {
     case FaultModel::Kind::kBernoulli:
-      inject_bernoulli(model.param, state, rng, tally);
+      tally.trials += cells;
+      fault::bernoulli_draws(rng, cells, 1.0 - model.param, kill);
       return;
-    case FaultModel::Kind::kFixedCount:
-      inject_fixed_count(static_cast<std::int32_t>(model.param), state, rng,
-                         tally);
+    case FaultModel::Kind::kFixedCount: {
+      const auto count = static_cast<std::int32_t>(model.param);
+      tally.trials += count;
+      fault::fixed_count_draws(rng, cells, count, kill);
       return;
+    }
     case FaultModel::Kind::kClustered:
-      inject_clustered(model.param, model.cluster, state, rng, tally);
+      // v1 counts one trial per kill draw: the walk draws exactly for the
+      // cells is_faulty turns down.
+      fault::clustered_draws(
+          rng, state.design().array().region(), model.param,
+          model.cluster.radius, model.cluster.core_kill,
+          model.cluster.edge_kill,
+          [&](CellIndex cell) {
+            if (state.is_faulty(cell)) return true;
+            ++tally.trials;
+            return false;
+          },
+          kill);
       return;
-    case FaultModel::Kind::kParametric:
-      inject_parametric(model.param, state, rng, tally);
+    case FaultModel::Kind::kParametric: {
+      // Parametric faults carry no classification draw.
+      const fault::ParametricInjector injector(
+          fault::ProcessSpec::typical().scaled(model.param));
+      tally.trials += cells;
+      fault::parametric_draws(
+          rng, injector, cells,
+          [&](CellIndex cell, const fault::Deviation&) {
+            state.set_faulty(cell);
+          });
       return;
+    }
     case FaultModel::Kind::kMixture:
       for (const FaultModel& component : model.components) {
         inject_component(component, state, rng, tally);
@@ -133,99 +80,51 @@ void inject_component(const FaultModel& model, FaultState& state, Rng& rng,
   DMFB_ASSERT(!"unknown fault model kind");
 }
 
-// The inject_*_v2 functions drive the shared v2 kind algorithms
-// (fault/inject_v2.hpp) with bitmap callbacks, so they replay the exact
-// cursor trajectory of the corresponding fault::*Injector::inject_v2 and
-// mark the same cells. The classification/attribution draw each fault's
-// callback must consume is skip()ed — the bitmap keeps no records. Under
-// v2 the tally counts fault candidates reaching a callback (`trials`) and
-// skipped classification draws (`classification`); both remain pure
-// functions of (model, seed, run).
-//
+// Under v2 every fault reaching a callback counts as a trial and consumes
+// one classification or attribution draw, which the bitmap skip()s.
 // `pristine` selects the bulk ascending-write path: standalone skip-sampled
 // kinds visit cells in strictly ascending order on an empty bitmap, so the
 // set_faulty membership probe is dead weight. Mixture components (and the
-// unsorted fixed-count picks) take the idempotent set_faulty, which also
-// implements first-faulter-wins for free.
-
-void inject_bernoulli_v2(double survival_p, FaultState& state,
-                         CounterStream& stream, InjectTally& tally,
-                         bool pristine) {
-  skip_sample_bernoulli(stream, state.design().cell_count(),
-                        1.0 - survival_p, [&](std::int32_t cell) {
-                          ++tally.trials;
-                          stream.skip(1);  // classification draw
-                          ++tally.classification;
-                          if (pristine) {
-                            state.set_faulty_ascending(cell);
-                          } else {
-                            state.set_faulty(cell);
-                          }
-                        });
-}
-
-void inject_fixed_count_v2(std::int32_t count, FaultState& state,
-                           CounterStream& stream, InjectTally& tally) {
-  fault::fixed_count_v2(stream, state.design().cell_count(), count,
-                        [&](std::int32_t cell) {
-                          ++tally.trials;
-                          stream.skip(1);  // classification draw
-                          ++tally.classification;
-                          state.set_faulty(cell);
-                        });
-}
-
-void inject_clustered_v2(double mean_spots, const ClusterShape& shape,
-                         FaultState& state, CounterStream& stream,
-                         InjectTally& tally) {
-  const hex::Region& region = state.design().array().region();
-  fault::clustered_v2(
-      stream, region, state.design().cell_count(), mean_spots, shape.radius,
-      shape.core_kill, shape.edge_kill,
-      [&](CellIndex cell) { return state.is_faulty(cell); },
-      [&](CellIndex cell) {
-        ++tally.trials;
-        stream.skip(1);  // classification draw
-        ++tally.classification;
-        state.set_faulty(cell);
-      });
-}
-
-void inject_parametric_v2(double sigma_scale, FaultState& state,
-                          CounterStream& stream, InjectTally& tally,
-                          bool pristine) {
-  const double fault_probability = fault::ProcessSpec::typical()
-                                       .scaled(sigma_scale)
-                                       .cell_fault_probability();
-  skip_sample_bernoulli(stream, state.design().cell_count(),
-                        fault_probability, [&](std::int32_t cell) {
-                          ++tally.trials;
-                          stream.skip(1);  // attribution draw
-                          ++tally.classification;
-                          if (pristine) {
-                            state.set_faulty_ascending(cell);
-                          } else {
-                            state.set_faulty(cell);
-                          }
-                        });
-}
+// unsorted fixed-count and spot-walk cells) take the idempotent set_faulty.
 
 void inject_component_v2(const FaultModel& model, FaultState& state,
                          CounterStream& stream, InjectTally& tally,
                          bool pristine) {
+  const std::int32_t cells = state.design().cell_count();
+  const auto mark = [&](bool ascending) {
+    return [&state, &stream, &tally, ascending](CellIndex cell) {
+      ++tally.trials;
+      stream.skip(1);  // classification or attribution draw
+      ++tally.classification;
+      if (ascending) {
+        state.set_faulty_ascending(cell);
+      } else {
+        state.set_faulty(cell);
+      }
+    };
+  };
   switch (model.kind) {
     case FaultModel::Kind::kBernoulli:
-      inject_bernoulli_v2(model.param, state, stream, tally, pristine);
+      fault::bernoulli_draws(stream, cells, 1.0 - model.param, mark(pristine));
       return;
     case FaultModel::Kind::kFixedCount:
-      inject_fixed_count_v2(static_cast<std::int32_t>(model.param), state,
-                            stream, tally);
+      fault::fixed_count_draws(stream, cells,
+                               static_cast<std::int32_t>(model.param),
+                               mark(false));
       return;
     case FaultModel::Kind::kClustered:
-      inject_clustered_v2(model.param, model.cluster, state, stream, tally);
+      fault::clustered_draws(
+          stream, state.design().array().region(), model.param,
+          model.cluster.radius, model.cluster.core_kill,
+          model.cluster.edge_kill,
+          [&](CellIndex cell) { return state.is_faulty(cell); }, mark(false));
       return;
     case FaultModel::Kind::kParametric:
-      inject_parametric_v2(model.param, state, stream, tally, pristine);
+      fault::parametric_draws(
+          stream,
+          fault::ParametricInjector(
+              fault::ProcessSpec::typical().scaled(model.param)),
+          cells, mark(pristine));
       return;
     case FaultModel::Kind::kMixture:
       for (const FaultModel& component : model.components) {

@@ -1,21 +1,18 @@
 // sim::FaultModel — the structured defect models the session engine can
 // inject directly into a FaultState bitmap.
 //
-// Each model replicates the corresponding fault::*Injector *exactly*,
-// including its Rng draw sequence (one catastrophic-defect draw per injected
-// catastrophic fault; three Gaussian deviations per cell for the parametric
-// kind), so a session run consumes the same random stream as the legacy
-// HexArray path and produces bit-identical success counts. The equivalence
-// test suites (tests/test_sim_session.cpp, tests/test_sim_fault_models.cpp)
-// pin this contract; any change to an injector's draw order must land in
-// every replay site (fault/injector.cpp, fault/parametric.cpp,
-// fault/mixture.cpp and this file).
+// Injection runs each kind's draw sequence from fault/draws.hpp (one
+// template per kind and draw contract, with its draw table) and only
+// supplies the bitmap callbacks. The fault::*Injector classes drive the
+// same templates with record-keeping callbacks, so a session run consumes
+// the same random stream as the legacy HexArray path, faults the same
+// cells and produces bit-identical success counts by construction.
+// tests/test_fault_draw_digests.cpp pins every kind's trajectory.
 //
 // kMixture composes an ordered list of the concrete kinds into one defect
-// draw per run, replaying fault::MixtureInjector: every component consumes
-// the stream exactly as its standalone injector would (clustered kill draws
-// see the live fault state, as standalone), and a cell keeps the
-// attribution of the first component that faulted it.
+// draw per run, under the mixture row of that table: every component
+// consumes the stream as it would standalone, and a cell keeps the first
+// component that faulted it.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +71,7 @@ struct FaultModel {
   }
   /// Parametric (soft) faults under fault::ProcessSpec::typical() with all
   /// sigmas multiplied by `sigma_scale` — a one-knob process-maturity axis.
-  /// Replays fault::ParametricInjector(typical().scaled(sigma_scale))
-  /// draw-for-draw.
+  /// Draws as fault::ParametricInjector(typical().scaled(sigma_scale)).
   static FaultModel parametric(double sigma_scale) {
     FaultModel model;
     model.kind = Kind::kParametric;
@@ -97,17 +93,17 @@ struct FaultModel {
 /// non-empty, no nested mixtures, every component valid.
 void validate(const FaultModel& model, const ChipDesign& design);
 
-/// Injects one run's faults into `state` (which must arrive reset).
-/// Draw-for-draw identical to the corresponding fault::*Injector (or
-/// fault::MixtureInjector) on a HexArray.
+/// Injects one run's faults into `state` (which must arrive reset), with
+/// the v1 draws of fault/draws.hpp — the same draws and faulty cells as
+/// the corresponding fault::*Injector::inject on a HexArray.
 void inject(const FaultModel& model, FaultState& state, Rng& rng);
 
-/// v2 (rng_version = v2) injection: cursor-for-cursor identical to the
-/// corresponding fault::*Injector::inject_v2 on a HexArray — same stream
-/// draws, same fault cells — but marks the word-packed bitmap directly
-/// (bulk ascending writes for the skip-sampled kinds) and skip()s the
-/// classification/attribution draws it keeps no records for. O(faults)
-/// for bernoulli / fixed-count / parametric; O(spot area) for clustered.
+/// v2 (rng_version = v2) injection with the v2 draws of fault/draws.hpp:
+/// the same stream draws and fault cells as fault::*Injector::inject_v2,
+/// but the word-packed bitmap is marked directly (bulk ascending writes for
+/// the skip-sampled kinds) and the classification/attribution draws it
+/// keeps no records for are skip()ped. O(faults) for bernoulli /
+/// fixed-count / parametric; O(spot area) for clustered.
 void inject_v2(const FaultModel& model, FaultState& state,
                CounterStream& stream);
 

@@ -101,8 +101,9 @@ TEST(ObsRegistryTest, HistogramStatisticsAreExactForCountSumMinMax) {
     record_duration(Metric::kReconfigPlanNs, ns);
   }
   registry.uninstall();
+  const Snapshot snapshot = registry.snapshot();
   const HistogramSnapshot& histogram =
-      registry.snapshot().histogram(Metric::kReconfigPlanNs);
+      snapshot.histogram(Metric::kReconfigPlanNs);
   EXPECT_EQ(histogram.count, 5);
   EXPECT_EQ(histogram.sum_ns, 68900);
   EXPECT_EQ(histogram.min_ns, 100);

@@ -25,7 +25,7 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/inject_v2.hpp"
+#include "fault/draws.hpp"
 #include "fault/injector.hpp"
 #include "fault/mixture.hpp"
 #include "fault/parametric.hpp"
@@ -192,7 +192,7 @@ TEST(FixedCountV2, PicksAreDistinctAndCoverUniformly) {
     CounterStream stream(static_cast<std::uint64_t>(s) * std::uint64_t{0x9e37} +
                          1);
     std::set<std::int32_t> picks;
-    fault::fixed_count_v2(stream, kCells, kCount, [&](std::int32_t cell) {
+    fault::fixed_count_draws(stream, kCells, kCount, [&](std::int32_t cell) {
       ASSERT_GE(cell, 0);
       ASSERT_LT(cell, kCells);
       EXPECT_TRUE(picks.insert(cell).second) << "duplicate pick " << cell;
@@ -210,8 +210,8 @@ TEST(FixedCountV2, PicksAreDistinctAndCoverUniformly) {
 TEST(FixedCountV2, FullSelectionIsAPermutationOfAllCells) {
   CounterStream stream(11);
   std::set<std::int32_t> picks;
-  fault::fixed_count_v2(stream, 16, 16,
-                        [&](std::int32_t cell) { picks.insert(cell); });
+  fault::fixed_count_draws(stream, 16, 16,
+                          [&](std::int32_t cell) { picks.insert(cell); });
   EXPECT_EQ(picks.size(), 16u);
 }
 
@@ -221,7 +221,7 @@ TEST(PoissonV2, MatchesMeanInBothRegimes) {
     constexpr int kStreams = 4000;
     for (int s = 0; s < kStreams; ++s) {
       CounterStream stream(static_cast<std::uint64_t>(s) + 17);
-      total += fault::sample_poisson_v2(mean, stream);
+      total += fault::sample_poisson(mean, stream);
     }
     const double sigma = std::sqrt(mean / kStreams);
     EXPECT_NEAR(total / kStreams, mean, 4.0 * sigma) << "mean " << mean;
