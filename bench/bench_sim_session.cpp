@@ -116,28 +116,12 @@ void BM_McYieldRun_SessionMetrics(benchmark::State& state) {
 }
 BENCHMARK(BM_McYieldRun_SessionMetrics);
 
-// Engine variants of the session kernel (not part of the CI ratio gate):
-// the same fault stream checked by the push-relabel batch engine, by the
-// diff-based incremental repair path, and at the low-density operating
-// point where the incremental diff actually pays (p = 0.99 leaves ~2 faults
-// per run, so consecutive runs differ in a handful of cells).
-
-void BM_McYieldRun_PushRelabel(benchmark::State& state) {
-  const auto design = sim::ChipDesign::make(bench_array());
-  sim::FaultState fault_state(design);
-  const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
-  std::int32_t run = 0;
-  for (auto _ : state) {
-    Rng rng = sim::run_stream(kSeed, run++);
-    sim::inject(model, fault_state, rng);
-    benchmark::DoNotOptimize(fault_state.repairable(
-        reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kPushRelabel,
-        reconfig::ReplacementPool::kSparesOnly));
-    fault_state.reset();
-  }
-}
-BENCHMARK(BM_McYieldRun_PushRelabel);
+// Repair-path variants of the session kernel (not part of the CI ratio
+// gate): the same fault stream checked by the diff-based incremental repair
+// path, and at the low-density operating point where the incremental diff
+// should pay (p = 0.99 leaves ~2 faults per run, so consecutive runs differ
+// in a handful of cells). The batch check is always Hopcroft-Karp, which
+// BM_McYieldRun_Session already times.
 
 void BM_McYieldRun_Incremental(benchmark::State& state) {
   const auto design = sim::ChipDesign::make(bench_array());

@@ -4,18 +4,17 @@
 // fresh instance per simulation run costs thousands of small allocations.
 // CsrBipartiteGraph is the flat alternative: rows are appended in order into
 // two shared vectors (CSR layout) and clear() rewinds without releasing
-// capacity. CsrMatcher owns the per-engine work buffers (match arrays, BFS
-// layers, visit stamps) and likewise reuses them across calls, so one
+// capacity. CsrMatcher owns the Hopcroft-Karp work buffers (match arrays,
+// BFS layers and queue) and likewise reuses them across calls, so one
 // (graph, matcher) pair serves an entire Monte-Carlo experiment with zero
 // steady-state allocation.
 //
-// All engines compute a maximum matching, so matching *size* — and
-// therefore repairability — is identical across engines and identical to
-// the BipartiteGraph-based detail:: implementations (pinned by tests).
-// Each engine also visits vertices and edges in the same order as its
-// detail:: twin, so on the same graph it picks the same pairs: a plan
-// built on CsrMatcher hands every faulty cell the spare the legacy
-// reconfigurer would.
+// Hopcroft-Karp is the only algorithm here: the simulator asks one question
+// (does a maximum matching saturate the faulty primaries?) and every plan
+// it builds uses these pairs, whatever engine a query names. Matching size
+// equals every detail:: engine's, and the pairs equal
+// detail::hopcroft_karp's on the same graph, because both visit vertices
+// and edges in the same order (pinned by the matching fuzz suite).
 #pragma once
 
 #include <cstdint>
@@ -76,17 +75,16 @@ class CsrBipartiteGraph {
   std::int32_t right_count_ = 0;
 };
 
-/// Reusable matching workspace. Not thread-safe; use one per thread.
+/// Reusable Hopcroft-Karp workspace. Not thread-safe; use one per thread.
 class CsrMatcher {
  public:
-  /// Size of a maximum matching of `graph` under `engine`.
-  std::int32_t maximum_matching_size(const CsrBipartiteGraph& graph,
-                                     MatchingEngine engine);
+  /// Size of a maximum matching of `graph`.
+  std::int32_t maximum_matching_size(const CsrBipartiteGraph& graph);
 
   /// True iff a maximum matching saturates every left vertex (the local
   /// reconfiguration repairability predicate).
-  bool covers_all_left(const CsrBipartiteGraph& graph, MatchingEngine engine) {
-    return maximum_matching_size(graph, engine) == graph.left_count();
+  bool covers_all_left(const CsrBipartiteGraph& graph) {
+    return maximum_matching_size(graph) == graph.left_count();
   }
 
   /// Left-side matching of the last maximum_matching_size call
@@ -97,25 +95,13 @@ class CsrMatcher {
   }
 
  private:
-  std::int32_t run_kuhn(const CsrBipartiteGraph& graph);
-  std::int32_t run_hopcroft_karp(const CsrBipartiteGraph& graph);
-  std::int32_t run_dinic(const CsrBipartiteGraph& graph);
-  std::int32_t run_push_relabel(const CsrBipartiteGraph& graph);  // push_relabel.cpp
-
-  bool kuhn_augment(const CsrBipartiteGraph& graph, std::int32_t a);
   bool hk_bfs(const CsrBipartiteGraph& graph);
   bool hk_augment(const CsrBipartiteGraph& graph, std::int32_t a);
-  bool dinic_augment(const CsrBipartiteGraph& graph, std::int32_t a);
 
   std::vector<std::int32_t> match_left_;
   std::vector<std::int32_t> match_right_;
-  std::vector<std::int32_t> layer_;       // HK/Dinic BFS layers over left
-  std::vector<std::int32_t> queue_;       // flat BFS queue
-  std::vector<std::int32_t> visit_stamp_; // Kuhn right-visited epochs
-  std::vector<std::int32_t> cursor_;      // Dinic current-arc per left vertex
-  std::vector<std::int32_t> label_right_; // push-relabel right labels
-  std::int32_t stamp_ = 0;
-  std::int32_t free_layer_ = 0;  // hk_bfs: first layer next to a free right
+  std::vector<std::int32_t> layer_;  // BFS layers over left
+  std::vector<std::int32_t> queue_;  // flat BFS queue
 };
 
 }  // namespace dmfb::graph

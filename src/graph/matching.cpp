@@ -18,23 +18,15 @@ const char* to_string(MatchingEngine engine) noexcept {
   return "?";
 }
 
-MatchingEngine resolve_engine(MatchingEngine engine,
-                              std::int32_t left_count) noexcept {
-  if (engine != MatchingEngine::kAuto) return engine;
-  return left_count >= kAutoPushRelabelLeftCount
-             ? MatchingEngine::kPushRelabel
-             : MatchingEngine::kHopcroftKarp;
-}
-
 MatchingResult maximum_matching(const BipartiteGraph& graph,
                                 MatchingEngine engine) {
-  switch (resolve_engine(engine, graph.left_count())) {
-    case MatchingEngine::kHopcroftKarp: return detail::hopcroft_karp(graph);
+  switch (engine) {
+    case MatchingEngine::kHopcroftKarp:
+    case MatchingEngine::kAuto: return detail::hopcroft_karp(graph);
     case MatchingEngine::kKuhn: return detail::kuhn(graph);
     case MatchingEngine::kDinic: return detail::dinic_matching(graph);
     case MatchingEngine::kPushRelabel:
       return detail::push_relabel_matching(graph);
-    case MatchingEngine::kAuto: break;  // resolved above
   }
   DMFB_ASSERT(!"unknown matching engine");
   return {};

@@ -3,13 +3,15 @@
 //
 // The paper (Section 6, Fig. 8): faulty primary cells can all be repaired
 // iff a maximum matching of the faulty-primary x healthy-spare adjacency
-// graph saturates every faulty primary. We provide four independent
-// engines — Hopcroft-Karp (default), Kuhn's augmenting paths, Dinic
-// max-flow on the unit network, and the Cherkassky-Goldberg double-push
-// (push-relabel) matcher — which the test suite requires to agree on every
-// instance; the ablation bench compares their speed. kAuto defers the
-// choice to a size heuristic (resolve_engine), which higher layers may
-// refine with workload knowledge (sim::Session adds defect density).
+// graph saturates every faulty primary. The size of a maximum matching is
+// unique, so the verdict does not depend on the algorithm. On the legacy
+// BipartiteGraph we keep four independent engines — Hopcroft-Karp
+// (default), Kuhn's augmenting paths, Dinic max-flow on the unit network,
+// and the Cherkassky-Goldberg double-push (push-relabel) matcher — which
+// the test suite requires to agree on every instance and the ablation bench
+// compares. The simulator (sim::, on graph::CsrMatcher) computes every plan
+// and verdict with Hopcroft-Karp alone; there the engine a query names is
+// accepted and changes no estimate.
 #pragma once
 
 #include <cstdint>
@@ -25,24 +27,12 @@ enum class MatchingEngine : std::uint8_t {
   kKuhn,
   kDinic,
   kPushRelabel,
-  /// Sentinel: pick an engine per instance (resolve_engine). Every API that
-  /// receives kAuto resolves it deterministically, so results stay
-  /// reproducible for a fixed input.
+  /// Sentinel for "no preference": maximum_matching runs Hopcroft-Karp,
+  /// and sim::plan_engine may pick incremental repair at low defect density.
   kAuto,
 };
 
 const char* to_string(MatchingEngine engine) noexcept;
-
-/// Left-side size above which kAuto picks push-relabel: augmenting-path
-/// engines win on the small sparse instances the per-run Monte-Carlo filter
-/// produces, push-relabel on large ones (its documented scaling advantage).
-inline constexpr std::int32_t kAutoPushRelabelLeftCount = 64;
-
-/// Resolves kAuto to a concrete engine for an instance with `left_count`
-/// left vertices; concrete engines pass through unchanged. Deterministic:
-/// the same instance always resolves to the same engine.
-MatchingEngine resolve_engine(MatchingEngine engine,
-                              std::int32_t left_count) noexcept;
 
 /// A matching: match_of_left[a] is the right partner of a (or kUnmatched).
 struct MatchingResult {

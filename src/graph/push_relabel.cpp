@@ -8,48 +8,44 @@
 // the sink, so a vertex whose best neighbour's label reaches
 // left + right + 1 can never be saturated by any maximum flow and retires
 // unmatched. Unlike the augmenting-path engines, no path is ever traced —
-// the work is a sequence of O(degree) scans, which is where the scaling
-// advantage over Kuhn/Hopcroft-Karp on large dense instances comes from.
+// the work is a sequence of O(degree) scans.
 //
-// Shared core for both graph representations: detail::push_relabel_matching
-// (legacy BipartiteGraph) and CsrMatcher::run_push_relabel (the
-// allocation-free hot-loop path) must agree instance-for-instance with the
-// augmenting-path engines; the matching fuzz suite pins this.
+// One of the four legacy BipartiteGraph engines: it serves
+// maximum_matching(graph, kPushRelabel), the engine ablation bench and the
+// test suites, which require it to agree in size with the augmenting-path
+// engines on every instance. The simulator's CsrMatcher runs Hopcroft-Karp
+// only.
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr_matching.hpp"
 #include "graph/matching.hpp"
 
-namespace dmfb::graph {
+namespace dmfb::graph::detail {
 
-namespace {
-
-constexpr std::int32_t kUnmatched = MatchingResult::kUnmatched;
-
-/// The double-push loop. `neighbors(a)` yields a span of right indices.
-/// `match_left`/`match_right` must arrive sized and filled kUnmatched,
-/// `label_right` sized and zeroed, `active` empty (it doubles as the FIFO
-/// queue; total enqueues are bounded by left + right * (cutoff + 2) / 2).
-template <typename NeighborsFn>
-std::int32_t double_push_core(std::int32_t left_count,
-                              std::int32_t right_count,
-                              NeighborsFn&& neighbors,
-                              std::vector<std::int32_t>& match_left,
-                              std::vector<std::int32_t>& match_right,
-                              std::vector<std::int32_t>& label_right,
-                              std::vector<std::int32_t>& active) {
+MatchingResult push_relabel_matching(const BipartiteGraph& graph) {
+  constexpr std::int32_t kUnmatched = MatchingResult::kUnmatched;
+  const std::int32_t left_count = graph.left_count();
+  const std::int32_t right_count = graph.right_count();
+  MatchingResult result;
+  auto& match_left = result.match_of_left;
+  auto& match_right = result.match_of_right;
+  match_left.assign(static_cast<std::size_t>(left_count), kUnmatched);
+  match_right.assign(static_cast<std::size_t>(right_count), kUnmatched);
+  std::vector<std::int32_t> label_right(static_cast<std::size_t>(right_count),
+                                        0);
+  // The FIFO of active left vertices; total enqueues are bounded by
+  // left + right * (cutoff + 2) / 2.
+  std::vector<std::int32_t> active;
   // A label >= cutoff certifies the sink is unreachable: any simple
   // residual path to the sink has at most left + right intermediate hops.
   const std::int32_t cutoff = left_count + right_count + 1;
   for (std::int32_t a = 0; a < left_count; ++a) active.push_back(a);
-  std::int32_t size = 0;
   for (std::size_t head = 0; head < active.size(); ++head) {
     const std::int32_t a = active[head];
     // Relabel a to (min neighbour label) + 1 and push there in one step.
     std::int32_t best = -1;
     std::int32_t best_label = cutoff;
-    for (const std::int32_t b : neighbors(a)) {
+    for (const std::int32_t b : graph.neighbors_of_left(a)) {
       const std::int32_t label = label_right[static_cast<std::size_t>(b)];
       if (label < best_label) {
         best_label = label;
@@ -66,47 +62,13 @@ std::int32_t double_push_core(std::int32_t left_count,
     // so a kicked partner prefers fresh right vertices first.
     label_right[static_cast<std::size_t>(best)] = best_label + 2;
     if (prev == kUnmatched) {
-      ++size;
+      ++result.size;
     } else {
       match_left[static_cast<std::size_t>(prev)] = kUnmatched;
       active.push_back(prev);
     }
   }
-  return size;
-}
-
-}  // namespace
-
-namespace detail {
-
-MatchingResult push_relabel_matching(const BipartiteGraph& graph) {
-  MatchingResult result;
-  result.match_of_left.assign(static_cast<std::size_t>(graph.left_count()),
-                              kUnmatched);
-  result.match_of_right.assign(static_cast<std::size_t>(graph.right_count()),
-                               kUnmatched);
-  std::vector<std::int32_t> label_right(
-      static_cast<std::size_t>(graph.right_count()), 0);
-  std::vector<std::int32_t> active;
-  result.size = double_push_core(
-      graph.left_count(), graph.right_count(),
-      [&](std::int32_t a) { return graph.neighbors_of_left(a); },
-      result.match_of_left, result.match_of_right, label_right, active);
   return result;
 }
 
-}  // namespace detail
-
-std::int32_t CsrMatcher::run_push_relabel(const CsrBipartiteGraph& graph) {
-  // label_right reuses the visit-stamp buffer's sibling role: assign() is
-  // O(right) per call, the same cost class as the match-array reset the
-  // caller already pays.
-  label_right_.assign(static_cast<std::size_t>(graph.right_count()), 0);
-  queue_.clear();
-  return double_push_core(
-      graph.left_count(), graph.right_count(),
-      [&](std::int32_t a) { return graph.neighbors_of_left(a); },
-      match_left_, match_right_, label_right_, queue_);
-}
-
-}  // namespace dmfb::graph
+}  // namespace dmfb::graph::detail

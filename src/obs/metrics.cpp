@@ -27,13 +27,7 @@ constexpr MetricInfo kMetricInfo[kMetricCount] = {
     {"sim.adaptive_chunks", MetricKind::kCounter, true,
      "adaptive-stopping chunk evaluations (1 for fixed-run queries)"},
     {"sim.engine.hopcroft_karp", MetricKind::kCounter, true,
-     "structural queries planned onto Hopcroft-Karp"},
-    {"sim.engine.kuhn", MetricKind::kCounter, true,
-     "structural queries planned onto Kuhn"},
-    {"sim.engine.dinic", MetricKind::kCounter, true,
-     "structural queries planned onto Dinic"},
-    {"sim.engine.push_relabel", MetricKind::kCounter, true,
-     "structural queries planned onto push-relabel"},
+     "structural queries planned onto batch Hopcroft-Karp"},
     {"sim.engine.incremental", MetricKind::kCounter, true,
      "structural queries planned onto incremental matching repair"},
     {"sim.incremental.diff_repairs", MetricKind::kCounter, false,

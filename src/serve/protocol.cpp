@@ -194,6 +194,10 @@ ParsedRequest parse_request(std::string_view line,
         request.pool = *pool;
       } else if (*key == "primaries") {
         if (!take_i32(request.min_primaries)) return bad_value();
+        if (request.min_primaries > kMaxPrimaries) {
+          return fail("\"primaries\" exceeds the limit of " +
+                      std::to_string(kMaxPrimaries));
+        }
       } else if (*key == "runs") {
         if (!take_i32(request.runs) || request.runs <= 0) return bad_value();
       } else if (*key == "radius") {

@@ -39,6 +39,12 @@
 
 namespace dmfb::serve {
 
+/// Largest "primaries" a request may ask for. Design build grows faster
+/// than linearly in the array size (seconds at 1M primaries) and runs on
+/// the reader thread, so a larger value is rejected with a per-line error
+/// instead of stalling every later query. Every campaign asks for <= 240.
+inline constexpr std::int32_t kMaxPrimaries = 65'536;
+
 /// One parsed wire query, campaign-vocabulary fields resolved.
 struct ServeRequest {
   std::string id;  ///< raw JSON token to echo (number or quoted string)

@@ -147,12 +147,12 @@ OperationalState::OperationalState(
 }
 
 OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
-                                          graph::MatchingEngine engine,
+                                          graph::MatchingEngine /*engine*/,
                                           reconfig::ReplacementPool pool) {
   {
     obs::ScopedSpan span("reconfig.plan", "op");
     const obs::ScopedDuration timer(obs::Metric::kReconfigPlanNs);
-    faults_.plan(policy, engine, pool, plan_);
+    faults_.plan(policy, pool, plan_);
   }
 
   OperationalRun run;

@@ -26,8 +26,9 @@
 //
 // The plan comes from FaultState::plan: the design's pre-built matching
 // skeleton filtered by the fault words into a reused CSR graph. Its vertex
-// and edge order is the one reconfig::LocalReconfigurer builds, so every
-// engine picks the same spares the legacy reconfigurer would.
+// and edge order is the one reconfig::LocalReconfigurer builds, so its
+// Hopcroft-Karp pairs are the spares the legacy reconfigurer picks under
+// kHopcroftKarp, whatever engine the query names.
 //
 // Only transport hop counts enter the completion time, and a shortest-path
 // length does not depend on how a search breaks ties, so the kernel never
@@ -153,7 +154,9 @@ class OperationalState {
 
   /// Evaluates the current fault set: plan -> surviving modules ->
   /// re-schedule -> re-route. Leaves the fault set untouched (call reset()
-  /// between runs, as with FaultState).
+  /// between runs, as with FaultState). The plan always comes from
+  /// FaultState::plan's Hopcroft-Karp pairs; `engine` changes nothing and
+  /// the parameter stays for existing callers.
   OperationalRun evaluate(reconfig::CoveragePolicy policy,
                           graph::MatchingEngine engine,
                           reconfig::ReplacementPool pool);

@@ -79,22 +79,21 @@ bool FaultState::build_graph(const ChipDesign::Skeleton& skeleton) {
 }
 
 bool FaultState::repairable(reconfig::CoveragePolicy policy,
-                            graph::MatchingEngine engine,
+                            graph::MatchingEngine /*engine*/,
                             reconfig::ReplacementPool pool) {
   if (!build_graph<false>(design_->skeleton(policy, pool))) return false;
   if (graph_.left_count() == 0) return true;
-  return matcher_.covers_all_left(graph_, engine);
+  return matcher_.covers_all_left(graph_);
 }
 
 void FaultState::plan(reconfig::CoveragePolicy policy,
-                      graph::MatchingEngine engine,
                       reconfig::ReplacementPool pool,
                       reconfig::ReconfigPlan& out) {
   build_graph<true>(design_->skeleton(policy, pool));
   out.replacements.clear();
   out.unrepairable.clear();
   if (graph_.left_count() > 0) {
-    matcher_.maximum_matching_size(graph_, engine);
+    matcher_.maximum_matching_size(graph_);
     const std::span<const std::int32_t> match = matcher_.match_of_left();
     for (std::size_t a = 0; a < left_cells_.size(); ++a) {
       if (match[a] == graph::MatchingResult::kUnmatched) {

@@ -2,7 +2,7 @@
 //
 // Replaces the per-thread HexArray clones of the legacy Monte-Carlo engine:
 // a word-packed fault bitmap plus the reusable matching buffers (compacted
-// bipartite CSR graph, right-index stamp map, engine workspaces). One
+// bipartite CSR graph, right-index stamp map, Hopcroft-Karp workspace). One
 // FaultState serves an entire worker's run loop with zero steady-state
 // allocation; reset() costs O(#faults), not O(#cells).
 //
@@ -14,8 +14,7 @@
 //
 // Two repairability paths, equal verdicts (pinned by the fuzz suite):
 //   repairable()             — batch: filter the skeleton into a compacted
-//                              CSR graph, run the chosen matching engine
-//                              from scratch.
+//                              CSR graph and run Hopcroft-Karp from scratch.
 //   repairable_incremental() — diff this run's fault words against the
 //                              previous accepted run's, drop matches that
 //                              involve departed/newly-faulty cells, and
@@ -26,6 +25,9 @@
 //                              *size* is order-independent, the verdict is
 //                              a pure function of the fault set — worker
 //                              history never leaks into results.
+// One engine computes every plan and batch verdict: Hopcroft-Karp on
+// graph::CsrMatcher. A query's `engine` token is accepted but changes no
+// estimate.
 #pragma once
 
 #include <cstdint>
@@ -93,9 +95,11 @@ class FaultState {
   // -- repairability --------------------------------------------------------
   /// True iff local reconfiguration can repair the current fault state:
   /// the design's pre-built (policy, pool) skeleton is filtered by fault
-  /// bits into a compacted CSR bipartite graph and `engine` checks whether a
-  /// maximum matching saturates every covered faulty primary. Equivalent to
-  /// reconfig::LocalReconfigurer::feasible on an equally-faulted HexArray.
+  /// bits into a compacted CSR bipartite graph and Hopcroft-Karp checks
+  /// whether a maximum matching saturates every covered faulty primary.
+  /// Equivalent to reconfig::LocalReconfigurer::feasible on an
+  /// equally-faulted HexArray. `engine` changes nothing: the verdict is the
+  /// same for every engine, and the parameter stays for existing callers.
   bool repairable(reconfig::CoveragePolicy policy,
                   graph::MatchingEngine engine,
                   reconfig::ReplacementPool pool);
@@ -106,17 +110,18 @@ class FaultState {
   /// because the unrepairable cells belong to the plan. Rows follow cell
   /// order, right ids are numbered by first use and candidates keep
   /// skeleton order: the vertex and edge order reconfig::LocalReconfigurer
-  /// builds, so on an equally-faulted HexArray both pick the same spares
-  /// under every engine.
-  void plan(reconfig::CoveragePolicy policy, graph::MatchingEngine engine,
-            reconfig::ReplacementPool pool, reconfig::ReconfigPlan& out);
+  /// builds, and the pairs are Hopcroft-Karp's, so on an equally-faulted
+  /// HexArray it picks the spares LocalReconfigurer picks under
+  /// kHopcroftKarp.
+  void plan(reconfig::CoveragePolicy policy, reconfig::ReplacementPool pool,
+            reconfig::ReconfigPlan& out);
 
   /// Same verdict as repairable(), computed incrementally against the fault
   /// words this state saw on its previous repairable_incremental() call
-  /// (see the header comment). The engine is implicit: augmentation is
-  /// Kuhn-style DFS over the skeleton, which any explicit engine provably
-  /// agrees with. Call between inject() and reset(), one (policy, pool)
-  /// configuration per run sequence for the diff to pay off.
+  /// (see the header comment). Augmentation is Kuhn-style DFS over the
+  /// skeleton; its verdict provably equals the batch Hopcroft-Karp one.
+  /// Call between inject() and reset(), one (policy, pool) configuration
+  /// per run sequence for the diff to pay off.
   bool repairable_incremental(reconfig::CoveragePolicy policy,
                               reconfig::ReplacementPool pool);
 

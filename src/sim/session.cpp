@@ -472,48 +472,21 @@ std::vector<YieldEstimate> Session::run_all(
 
 namespace {
 
-// One count per computed structural query, keyed by the engine the planner
-// actually chose. Pure function of the query + design, so the totals are
+// One count per computed structural query, keyed by the path the planner
+// chose. Pure function of the query + design, so the totals are
 // thread-invariant.
 void note_engine_plan(const EnginePlan& plan) {
-  if (plan.incremental) {
-    obs::count(obs::Metric::kEngineIncremental);
-    return;
-  }
-  switch (plan.engine) {
-    case graph::MatchingEngine::kHopcroftKarp:
-      obs::count(obs::Metric::kEngineHopcroftKarp);
-      break;
-    case graph::MatchingEngine::kKuhn:
-      obs::count(obs::Metric::kEngineKuhn);
-      break;
-    case graph::MatchingEngine::kDinic:
-      obs::count(obs::Metric::kEngineDinic);
-      break;
-    case graph::MatchingEngine::kPushRelabel:
-      obs::count(obs::Metric::kEnginePushRelabel);
-      break;
-    case graph::MatchingEngine::kAuto:
-      break;  // resolve_engine never returns kAuto
-  }
+  obs::count(plan.incremental ? obs::Metric::kEngineIncremental
+                              : obs::Metric::kEngineHopcroftKarp);
 }
 
 }  // namespace
 
 EnginePlan plan_engine(const YieldQuery& query, const ChipDesign& design) {
-  if (query.engine != graph::MatchingEngine::kAuto) {
-    return {false, query.engine};
-  }
-  if (expected_fault_fraction(query.fault, design) <=
-      kAutoIncrementalDensityMax) {
-    return {true, graph::MatchingEngine::kHopcroftKarp};
-  }
-  const ChipDesign::Skeleton& skeleton =
-      design.skeleton(query.policy, query.pool);
-  return {false,
-          graph::resolve_engine(
-              graph::MatchingEngine::kAuto,
-              static_cast<std::int32_t>(skeleton.cover.size()))};
+  return {query.engine == graph::MatchingEngine::kAuto &&
+              expected_fault_fraction(query.fault, design) <=
+                  kAutoIncrementalDensityMax,
+          graph::MatchingEngine::kHopcroftKarp};
 }
 
 std::int64_t Session::successes_in_range(

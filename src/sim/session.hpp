@@ -89,12 +89,10 @@ struct YieldQuery {
 
   reconfig::CoveragePolicy policy =
       reconfig::CoveragePolicy::kAllFaultyPrimaries;
-  /// Matching engine for the per-run repairability check. kAuto lets the
-  /// session pick per (array size, expected defect density) — see
-  /// plan_engine; estimates never depend on the choice (every engine
-  /// computes a maximum matching), only run time does. For operational
-  /// (kAssay) queries kAuto resolves per instance inside the reconfigurer,
-  /// deterministically.
+  /// Matching engine token. Every plan and batch verdict is computed by
+  /// Hopcroft-Karp, so the token changes no estimate; kAuto only lets
+  /// plan_engine pick incremental repair for low-density structural
+  /// queries, which returns the same verdict per run.
   graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp;
   reconfig::ReplacementPool pool = reconfig::ReplacementPool::kSparesOnly;
 
@@ -165,21 +163,20 @@ CounterStream run_stream_v2(std::uint64_t seed, std::int32_t run) noexcept;
 struct EnginePlan {
   /// True: the diff-based FaultState::repairable_incremental path.
   bool incremental = false;
-  /// Batch engine otherwise (never kAuto after planning).
+  /// Batch engine otherwise: always kHopcroftKarp.
   graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp;
 };
 
 /// Expected per-cell fault probability at or below which an auto-engine
 /// query takes the incremental repair path: consecutive runs then differ in
-/// few cells, so diff + re-augment beats any from-scratch engine.
+/// few cells, so diff + re-augment can beat a from-scratch match.
 inline constexpr double kAutoIncrementalDensityMax = 0.125;
 
-/// Resolves the query's engine choice against `design`. Explicit engines
-/// pass through as batch plans (bit-compatible with the legacy behaviour);
-/// kAuto picks incremental repair when expected_fault_fraction(fault) <=
-/// kAutoIncrementalDensityMax, else a batch engine by skeleton size via
-/// graph::resolve_engine. Deterministic: the plan depends only on
-/// (query, design), never on sampled state or threads.
+/// Resolves the query's engine token against `design`: kAuto picks
+/// incremental repair when expected_fault_fraction(fault) <=
+/// kAutoIncrementalDensityMax; everything else is a batch Hopcroft-Karp
+/// plan. Deterministic: the plan depends only on (query, design), never on
+/// sampled state or threads.
 EnginePlan plan_engine(const YieldQuery& query, const ChipDesign& design);
 
 /// Both metrics of one operational (workload = kAssay) experiment, plus the

@@ -7,7 +7,8 @@
 // sequences, and pins the verdict equivalence between the packed scan and
 // the legacy per-cell reconfig::LocalReconfigurer on arrays whose cell
 // counts sit exactly on the 64-bit word boundary (63 / 64 / 65 cells) —
-// for the repair plans too, spare for spare, under every engine.
+// for the repair plans too, spare for spare. Every engine spelling must
+// give the verdict and the plan of LocalReconfigurer under Hopcroft-Karp.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -157,7 +158,7 @@ TEST(FaultStateWords, SkeletonCoverMasksMirrorCoverLists) {
 
 TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
   // The packed word scan vs the legacy HexArray reconfigurer, same faults,
-  // every policy x pool x engine, on word-boundary cell counts.
+  // every policy x pool x engine spelling, on word-boundary cell counts.
   Rng rng(0x60D0ULL);
   for (const auto& [width, height] : kShapes) {
     for (const DtmbKind kind : {DtmbKind::kDtmb1_6, DtmbKind::kDtmb2_6}) {
@@ -177,10 +178,12 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
         }
         for (const auto policy : kPolicies) {
           for (const auto pool : kPools) {
+            const bool feasible =
+                reconfig::LocalReconfigurer(
+                    policy, graph::MatchingEngine::kHopcroftKarp, pool)
+                    .feasible(array);
             for (const auto engine : kEngines) {
-              const reconfig::LocalReconfigurer legacy(policy, engine, pool);
-              EXPECT_EQ(state.repairable(policy, engine, pool),
-                        legacy.feasible(array))
+              EXPECT_EQ(state.repairable(policy, engine, pool), feasible)
                   << "trial=" << trial << " engine="
                   << static_cast<int>(engine);
             }
@@ -192,9 +195,9 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
 }
 
 TEST(FaultStateWords, PlanMatchesLegacyReconfigurerSpareForSpare) {
-  // FaultState::plan vs LocalReconfigurer::plan, same faults, every
-  // policy x pool x engine: the same replacements in the same order and
-  // the same unrepairable cells. One plan object is reused throughout, as
+  // FaultState::plan vs LocalReconfigurer::plan under Hopcroft-Karp, same
+  // faults, every policy x pool: the same replacements in the same order
+  // and the same unrepairable cells. One plan object is reused throughout, as
   // the operational kernel reuses it.
   Rng rng(0x91A4ULL);
   reconfig::ReconfigPlan plan;
@@ -217,24 +220,22 @@ TEST(FaultStateWords, PlanMatchesLegacyReconfigurerSpareForSpare) {
         }
         for (const auto policy : kPolicies) {
           for (const auto pool : kPools) {
-            for (const auto engine : kEngines) {
-              const reconfig::ReconfigPlan legacy =
-                  reconfig::LocalReconfigurer(policy, engine, pool)
-                      .plan(array);
-              state.plan(policy, engine, pool, plan);
-              ASSERT_EQ(plan.success, legacy.success) << "trial=" << trial;
-              ASSERT_EQ(plan.replacements.size(), legacy.replacements.size());
-              for (std::size_t r = 0; r < plan.replacements.size(); ++r) {
-                EXPECT_EQ(plan.replacements[r].faulty,
-                          legacy.replacements[r].faulty);
-                EXPECT_EQ(plan.replacements[r].spare,
-                          legacy.replacements[r].spare)
-                    << "trial=" << trial
-                    << " engine=" << static_cast<int>(engine);
-              }
-              EXPECT_EQ(plan.unrepairable, legacy.unrepairable);
-              if (!plan.success) ++failed_plans;
+            const reconfig::ReconfigPlan legacy =
+                reconfig::LocalReconfigurer(
+                    policy, graph::MatchingEngine::kHopcroftKarp, pool)
+                    .plan(array);
+            state.plan(policy, pool, plan);
+            ASSERT_EQ(plan.success, legacy.success) << "trial=" << trial;
+            ASSERT_EQ(plan.replacements.size(), legacy.replacements.size());
+            for (std::size_t r = 0; r < plan.replacements.size(); ++r) {
+              EXPECT_EQ(plan.replacements[r].faulty,
+                        legacy.replacements[r].faulty);
+              EXPECT_EQ(plan.replacements[r].spare,
+                        legacy.replacements[r].spare)
+                  << "trial=" << trial;
             }
+            EXPECT_EQ(plan.unrepairable, legacy.unrepairable);
+            if (!plan.success) ++failed_plans;
           }
         }
       }

@@ -466,24 +466,21 @@ CsrBipartiteGraph to_csr(const BipartiteGraph& g) {
 TEST(CsrMatcher, EmptyGraphCoversTrivially) {
   CsrBipartiteGraph g;
   CsrMatcher matcher;
-  EXPECT_EQ(matcher.maximum_matching_size(g, MatchingEngine::kHopcroftKarp),
-            0);
-  EXPECT_TRUE(matcher.covers_all_left(g, MatchingEngine::kKuhn));
+  EXPECT_EQ(matcher.maximum_matching_size(g), 0);
+  EXPECT_TRUE(matcher.covers_all_left(g));
 }
 
 TEST(CsrMatcher, AgreesWithLegacyEnginesOnRandomGraphs) {
   Rng rng(0xC5A);
-  CsrMatcher matcher;  // deliberately reused across instances and engines
+  CsrMatcher matcher;  // deliberately reused across instances
   for (int trial = 0; trial < 60; ++trial) {
     const auto left = rng.uniform_int(0, 12);
     const auto right = rng.uniform_int(0, 12);
     const BipartiteGraph g =
         random_bipartite(rng, left, right, rng.uniform01());
-    const CsrBipartiteGraph csr = to_csr(g);
-    const std::int32_t expected =
-        maximum_matching(g, MatchingEngine::kHopcroftKarp).size;
+    const std::int32_t size = matcher.maximum_matching_size(to_csr(g));
     for (const MatchingEngine engine : kEngines) {
-      EXPECT_EQ(matcher.maximum_matching_size(csr, engine), expected)
+      EXPECT_EQ(size, maximum_matching(g, engine).size)
           << "trial=" << trial << " engine=" << to_string(engine);
     }
   }
@@ -495,22 +492,20 @@ TEST(CsrMatcher, MatchOfLeftIsAValidMatching) {
   for (int trial = 0; trial < 30; ++trial) {
     const BipartiteGraph g = random_bipartite(rng, 10, 8, 0.3);
     const CsrBipartiteGraph csr = to_csr(g);
-    for (const MatchingEngine engine : kEngines) {
-      const std::int32_t size = matcher.maximum_matching_size(csr, engine);
-      const auto match = matcher.match_of_left();
-      ASSERT_EQ(match.size(), static_cast<std::size_t>(csr.left_count()));
-      std::set<std::int32_t> used;
-      std::int32_t matched = 0;
-      for (std::int32_t a = 0; a < csr.left_count(); ++a) {
-        const std::int32_t b = match[static_cast<std::size_t>(a)];
-        if (b == MatchingResult::kUnmatched) continue;
-        ++matched;
-        EXPECT_TRUE(used.insert(b).second) << "right vertex matched twice";
-        const auto nbrs = csr.neighbors_of_left(a);
-        EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), b), nbrs.end());
-      }
-      EXPECT_EQ(matched, size);
+    const std::int32_t size = matcher.maximum_matching_size(csr);
+    const auto match = matcher.match_of_left();
+    ASSERT_EQ(match.size(), static_cast<std::size_t>(csr.left_count()));
+    std::set<std::int32_t> used;
+    std::int32_t matched = 0;
+    for (std::int32_t a = 0; a < csr.left_count(); ++a) {
+      const std::int32_t b = match[static_cast<std::size_t>(a)];
+      if (b == MatchingResult::kUnmatched) continue;
+      ++matched;
+      EXPECT_TRUE(used.insert(b).second) << "right vertex matched twice";
+      const auto nbrs = csr.neighbors_of_left(a);
+      EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), b), nbrs.end());
     }
+    EXPECT_EQ(matched, size);
   }
 }
 

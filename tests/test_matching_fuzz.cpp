@@ -1,18 +1,20 @@
 // Fuzz/equivalence suite for the matching engines: on seeded random
 // bipartite graphs (including empty and degenerate sides), Kuhn,
 // Hopcroft-Karp, Dinic and push-relabel must agree on the maximum-matching
-// size, and the allocation-free CSR matcher must agree with the legacy
-// BipartiteGraph engines instance-for-instance — on the matched pairs too,
-// engine by engine, because the operational kernel's CSR-built repair plan
-// must hand out the spares the legacy reconfigurer would. This is the
-// algebra local reconfiguration stands on: engines is a campaign sweep
-// axis, so a single disagreeing instance would split yield curves by
-// engine.
+// size, and the allocation-free CSR matcher (Hopcroft-Karp, the one engine
+// the simulator runs) must agree with every legacy BipartiteGraph engine
+// instance-for-instance — and on the matched pairs with
+// detail::hopcroft_karp, because the operational kernel's CSR-built repair
+// plan must hand out the spares the legacy reconfigurer would under
+// kHopcroftKarp. This is the algebra local reconfiguration stands on: the
+// engine token is a campaign sweep axis, so a single disagreeing instance
+// would split yield curves by engine.
 //
 // The second half fuzzes sim::FaultState's incremental-repair path:
 // randomized insert/remove fault sequences replayed incrementally must give
-// the same verdict as a from-scratch check by every batch engine, with the
-// incremental matching passing its full invariant check after every step.
+// the same verdict as a from-scratch check under every engine spelling,
+// with the incremental matching passing its full invariant check after
+// every step.
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -37,7 +39,7 @@ constexpr MatchingEngine kEngines[] = {
     MatchingEngine::kKuhn,
     MatchingEngine::kDinic,
     MatchingEngine::kPushRelabel,
-    MatchingEngine::kAuto,  // resolves per instance; must still agree
+    MatchingEngine::kAuto,  // maps to Hopcroft-Karp; must still agree
 };
 
 /// One random instance: edges[a] lists a's right neighbours (sorted,
@@ -67,9 +69,7 @@ Instance random_instance(Rng& rng) {
 /// Shuffles each row and renumbers the right vertices by first use (rows in
 /// order, edges in row order), the way FaultState numbers replacement
 /// candidates. Never-used right vertices are dropped, as in the kernel's
-/// graphs, where every right vertex is some row's candidate; both
-/// representations then count the same right side (push-relabel's label
-/// cutoff depends on it).
+/// graphs, where every right vertex is some row's candidate.
 Instance numbered_by_first_use(Instance instance, Rng& rng) {
   std::vector<std::int32_t> id(static_cast<std::size_t>(instance.right), -1);
   std::int32_t next = 0;
@@ -130,27 +130,23 @@ TEST(MatchingFuzz, EnginesAndCsrAgreeOnRandomInstances) {
       EXPECT_TRUE(is_valid_matching(legacy, result)) << "trial=" << trial;
       EXPECT_EQ(result.size, reference.size)
           << "trial=" << trial << " engine=" << static_cast<int>(engine);
-      EXPECT_EQ(matcher.maximum_matching_size(csr, engine), reference.size)
-          << "trial=" << trial << " csr engine=" << static_cast<int>(engine);
-      EXPECT_EQ(matcher.covers_all_left(csr, engine),
-                reference.covers_all_left())
-          << "trial=" << trial;
-
-      // Pairs, on the first-use-numbered copy the kernel would build.
-      const MatchingResult legacy_pairs =
-          maximum_matching(renumbered_legacy, engine);
-      EXPECT_EQ(legacy_pairs.size, reference.size)
+      EXPECT_EQ(maximum_matching(renumbered_legacy, engine).size,
+                reference.size)
           << "trial=" << trial << " renumbered engine="
           << static_cast<int>(engine);
-      EXPECT_EQ(matcher.maximum_matching_size(renumbered_csr, engine),
-                reference.size)
-          << "trial=" << trial << " renumbered csr engine="
-          << static_cast<int>(engine);
-      const std::span<const std::int32_t> pairs = matcher.match_of_left();
-      EXPECT_EQ(std::vector<std::int32_t>(pairs.begin(), pairs.end()),
-                legacy_pairs.match_of_left)
-          << "trial=" << trial << " pairs engine=" << static_cast<int>(engine);
     }
+    EXPECT_EQ(matcher.maximum_matching_size(csr), reference.size)
+        << "trial=" << trial;
+    EXPECT_EQ(matcher.covers_all_left(csr), reference.covers_all_left())
+        << "trial=" << trial;
+
+    // Pairs, on the first-use-numbered copy the kernel would build.
+    EXPECT_EQ(matcher.maximum_matching_size(renumbered_csr), reference.size)
+        << "trial=" << trial;
+    const std::span<const std::int32_t> pairs = matcher.match_of_left();
+    EXPECT_EQ(std::vector<std::int32_t>(pairs.begin(), pairs.end()),
+              detail::hopcroft_karp(renumbered_legacy).match_of_left)
+        << "trial=" << trial;
   }
 }
 
@@ -170,9 +166,9 @@ TEST(MatchingFuzz, DegenerateSidesMatchEverywhere) {
     build_csr(instance, csr);
     for (const MatchingEngine engine : kEngines) {
       EXPECT_EQ(maximum_matching(legacy, engine).size, 0);
-      EXPECT_EQ(matcher.maximum_matching_size(csr, engine), 0);
-      EXPECT_EQ(matcher.covers_all_left(csr, engine), left == 0);
     }
+    EXPECT_EQ(matcher.maximum_matching_size(csr), 0);
+    EXPECT_EQ(matcher.covers_all_left(csr), left == 0);
   }
 }
 

@@ -411,6 +411,39 @@ TEST(Server, ErrorLinesStayInStreamAndDaemonKeepsServing) {
   EXPECT_EQ(seen[3].rfind("{\"id\": 5, \"yield\"", 0), 0u) << seen[3];
 }
 
+TEST(Server, PrimariesAboveTheLimitAnswerAnErrorAndServingContinues) {
+  const auto request_line = [](std::int32_t id, std::int32_t primaries) {
+    return "{\"id\": " + std::to_string(id) +
+           ", \"design\": \"dtmb2_6\", \"primaries\": " +
+           std::to_string(primaries) +
+           ", \"injector\": \"bernoulli\", \"param\": 0.9, "
+           "\"runs\": 60}";
+  };
+  // The limit itself parses; one above is refused before any design build.
+  EXPECT_TRUE(parse_request(request_line(1, kMaxPrimaries), 1).ok());
+  const ParsedRequest refused =
+      parse_request(request_line(1, kMaxPrimaries + 1), 1);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error.find(std::to_string(kMaxPrimaries)),
+            std::string::npos)
+      << refused.error;
+
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  const std::string out =
+      serve_batch(server, request_line(1, kMaxPrimaries + 1) + "\n" +
+                              request_line(2, 60) + "\n");
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> seen;
+  while (std::getline(lines, line)) seen.push_back(line);
+  ASSERT_EQ(seen.size(), 2u) << out;
+  EXPECT_EQ(seen[0].rfind("{\"id\": 1, \"error\"", 0), 0u) << seen[0];
+  EXPECT_NE(seen[0].find("primaries"), std::string::npos) << seen[0];
+  EXPECT_EQ(seen[1].rfind("{\"id\": 2, \"yield\"", 0), 0u) << seen[1];
+}
+
 TEST(Server, DuplicateQueriesComputeOnceAcrossServeCalls) {
   ServerOptions options;
   options.threads = 2;

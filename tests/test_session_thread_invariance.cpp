@@ -1,12 +1,12 @@
 // Thread-invariance regression for the auto-planned engine paths.
 //
 // Session's determinism contract says an estimate depends only on
-// (design, query), never on the worker count. The auto engine adds two new
-// per-run paths (incremental repair with per-worker history, batch
-// push-relabel), so this suite re-pins the contract where it is now most
-// at risk: fig9-smoke-style queries under engine = auto must come back
-// bit-identical at threads 1 and 4, and bit-identical to the explicit
-// Hopcroft-Karp answers — the engine axis must never move an estimate.
+// (design, query), never on the worker count. The auto engine adds a
+// per-run path with per-worker history (incremental repair), so this suite
+// re-pins the contract where it is most at risk: fig9-smoke-style queries
+// under engine = auto must come back bit-identical at threads 1 and 4, and
+// bit-identical to the explicit Hopcroft-Karp answers — the engine axis
+// must never move an estimate.
 //
 // Each thread count gets its own Session over the shared design: the result
 // cache deliberately ignores `threads` (it never affects the estimate — the

@@ -12,15 +12,19 @@
 // as a golden file, like fig9_smoke. An oracle test checks the kernel's
 // skeleton-built plan, reusable tables, bitboard hop counts and schedule
 // memo field for field against a from-scratch evaluator built on
-// reconfig::LocalReconfigurer and BFS routes, under every matching engine.
+// reconfig::LocalReconfigurer (Hopcroft-Karp) and BFS routes, under every
+// engine spelling, and an engine-invariance pin requires every estimate
+// field to be bit-identical under all five engine spellings.
 #include <algorithm>
 #include <bit>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "biochip/dtmb.hpp"
 #include "campaign/builtin.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
@@ -172,17 +176,19 @@ TEST(OperationalState, AssayFailsWhenAWholeResourceClassDies) {
 
 /// The operational kernel rebuilt from scratch for every run: a fresh
 /// array and plan, a fresh ListScheduler, transports measured as BFS route
-/// lengths. Shares no table, buffer or memo with OperationalState.
+/// lengths. Shares no table, buffer or memo with OperationalState. Plans
+/// with Hopcroft-Karp, the one engine the kernel runs.
 OperationalRun reference_evaluate(const AssayWorkload& workload,
                                   std::span<const CellIndex> faulty,
-                                  CoveragePolicy policy, MatchingEngine engine,
+                                  CoveragePolicy policy,
                                   ReplacementPool pool) {
   biochip::HexArray array = workload.design().array();
   for (const CellIndex cell : faulty) {
     array.set_health(cell, biochip::CellHealth::kFaulty);
   }
   const reconfig::ReconfigPlan plan =
-      reconfig::LocalReconfigurer(policy, engine, pool).plan(array);
+      reconfig::LocalReconfigurer(policy, MatchingEngine::kHopcroftKarp, pool)
+          .plan(array);
   OperationalRun run;
   run.structural = plan.success;
 
@@ -263,8 +269,8 @@ TEST(OperationalState, MatchesTheFromScratchOracleOnShuffledFaultSets) {
     ReplacementPool pool;
     MatchingEngine engine;
   };
-  // Every engine must plan the spares LocalReconfigurer plans, so the
-  // cases rotate through all of them.
+  // Every engine spelling must plan the spares LocalReconfigurer plans
+  // under Hopcroft-Karp, so the cases rotate through all of them.
   constexpr MatchingEngine kEngines[] = {
       MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
       MatchingEngine::kDinic, MatchingEngine::kPushRelabel,
@@ -308,7 +314,7 @@ TEST(OperationalState, MatchesTheFromScratchOracleOnShuffledFaultSets) {
         state.evaluate(run_case.policy, run_case.engine, run_case.pool);
     const OperationalRun want =
         reference_evaluate(*workload, run_case.faulty, run_case.policy,
-                           run_case.engine, run_case.pool);
+                           run_case.pool);
     ASSERT_EQ(got.structural, want.structural) << "case " << c;
     ASSERT_EQ(got.operational, want.operational) << "case " << c;
     ASSERT_EQ(std::bit_cast<std::uint64_t>(got.completion_s),
@@ -370,6 +376,82 @@ TEST(SimOperational, BitIdenticalAcrossThreadsForEveryEngineCombination) {
           EXPECT_DOUBLE_EQ(parallel.mean_slowdown, serial.mean_slowdown);
           EXPECT_DOUBLE_EQ(parallel.worst_slowdown, serial.worst_slowdown);
         }
+      }
+    }
+  }
+}
+
+void expect_bit_identical(const YieldEstimate& got, const YieldEstimate& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.runs, want.runs) << where;
+  EXPECT_EQ(got.successes, want.successes) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value),
+            std::bit_cast<std::uint64_t>(want.value))
+      << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ci95.lo),
+            std::bit_cast<std::uint64_t>(want.ci95.lo))
+      << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ci95.hi),
+            std::bit_cast<std::uint64_t>(want.ci95.hi))
+      << where;
+}
+
+TEST(SimOperational, EveryEngineSpellingGivesBitIdenticalEstimates) {
+  // One engine computes every plan and verdict, so the engine token must
+  // not move any estimate field, structural or operational, at any thread
+  // count. The Bernoulli points sit on both sides of kAuto's incremental
+  // density split; the fixed-count faults give Kuhn and Dinic plans other
+  // than Hopcroft-Karp's, if the kernel ever ran them.
+  constexpr MatchingEngine kSpellings[] = {
+      MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
+      MatchingEngine::kDinic, MatchingEngine::kPushRelabel,
+      MatchingEngine::kAuto};
+  const auto design = ChipDesign::make(biochip::make_dtmb_array_with_primaries(
+      biochip::DtmbKind::kDtmb2_6, 120));
+  const auto& workload = multiplexed_workload();
+  for (const double p : {0.80, 0.95}) {
+    YieldQuery query;
+    query.fault = FaultModel::bernoulli(p);
+    query.runs = 512;
+    const YieldEstimate reference = Session(design).run(query);
+    for (const MatchingEngine engine : kSpellings) {
+      for (const std::int32_t threads : {1, 4}) {
+        // A session per (engine, threads): the cache key ignores threads.
+        query.engine = engine;
+        query.threads = threads;
+        expect_bit_identical(Session(design).run(query), reference,
+                             "structural p=" + std::to_string(p) +
+                                 " engine=" + to_string(engine) +
+                                 " threads=" + std::to_string(threads));
+      }
+    }
+  }
+  for (const ReplacementPool pool :
+       {ReplacementPool::kSparesOnly,
+        ReplacementPool::kSparesAndUnusedPrimaries}) {
+    YieldQuery query = operational_query(FaultModel::fixed_count(40), 512, 1);
+    query.pool = pool;
+    const OperationalEstimate reference =
+        Session(workload).run_operational(query);
+    EXPECT_GT(reference.operational.successes, 0);
+    for (const MatchingEngine engine : kSpellings) {
+      for (const std::int32_t threads : {1, 4}) {
+        query.engine = engine;
+        query.threads = threads;
+        const OperationalEstimate got =
+            Session(workload).run_operational(query);
+        const std::string where = "pool=" +
+                                  std::to_string(static_cast<int>(pool)) +
+                                  " engine=" + to_string(engine) +
+                                  " threads=" + std::to_string(threads);
+        expect_bit_identical(got.structural, reference.structural, where);
+        expect_bit_identical(got.operational, reference.operational, where);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_slowdown),
+                  std::bit_cast<std::uint64_t>(reference.mean_slowdown))
+            << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.worst_slowdown),
+                  std::bit_cast<std::uint64_t>(reference.worst_slowdown))
+            << where;
       }
     }
   }
