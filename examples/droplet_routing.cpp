@@ -1,19 +1,18 @@
 // Droplet routing on a faulty, reconfigured array — microfluidic locality
 // made visible.
 //
-// Two droplets cross a DTMB(2,6) array that has faulty cells. The router
-// must (a) detour around faults, (b) keep the droplets from ever coming
-// within one cell of each other (static + dynamic fluidic constraints),
-// and (c) exploit a reconfiguration-activated spare cell as part of the
-// transport surface. Every step is replayed on the cycle-accurate
-// simulator, which re-checks all constraints.
+// A droplet crosses a DTMB(2,6) array scarred by a diagonal line of faulty
+// cells. Local reconfiguration activates a spare next to each faulty
+// primary, and the router treats those spares as ordinary transport
+// surface: the shortest route over the repaired array slips through the
+// scar on replacement cells, shorter than the detour around the scar that
+// the unrepaired array forces.
 //
 // Build & run:  ./build/examples/droplet_routing
 #include <iostream>
 
 #include "biochip/dtmb.hpp"
 #include "fluidics/router.hpp"
-#include "fluidics/simulator.hpp"
 #include "io/ascii_render.hpp"
 #include "reconfig/local_reconfig.hpp"
 
@@ -33,53 +32,46 @@ int main() {
             << " (" << plan.replacements.size() << " spares activated)\n"
             << io::render_hex(array, &plan, {.legend = true}) << '\n';
 
+  const auto from = array.region().index_of({9, 0});
+  const auto to = array.region().index_of({1, 7});
+
+  // Without repair the spares stay reserved and the droplet goes round.
+  const fluidics::UsableCells unrepaired(array);
+  const auto detour = fluidics::Router(unrepaired).shortest_route(from, to);
+
   fluidics::UsableCells usable(array);
   usable.activate_plan(plan);
-  fluidics::DropletSimulator sim(usable);
-
-  const auto a_from = array.region().index_of({1, 1});
-  const auto a_to = array.region().index_of({9, 7});
-  const auto b_from = array.region().index_of({9, 1});
-  const auto b_to = array.region().index_of({1, 7});
-  const auto a = sim.dispense(a_from, 1.5, fluidics::Mixture::of("sample", 1));
-  const auto b = sim.dispense(b_from, 1.5, fluidics::Mixture::of("buffer", 1));
-
-  const fluidics::MultiDropletRouter router(usable);
-  const auto routes = router.route({{a, a_from, a_to, {}},
-                                    {b, b_from, b_to, {}}});
-  if (!routes) {
+  const auto route = fluidics::Router(usable).shortest_route(from, to);
+  if (route.empty()) {
     std::cerr << "routing failed\n";
     return 1;
   }
-  std::cout << "Routed two crossing droplets; arrivals at t = "
-            << (*routes)[0].arrival_time() << " and "
-            << (*routes)[1].arrival_time() << " cycles.\n";
-
-  for (const auto& route : *routes) {
-    std::cout << "droplet " << route.droplet << ": ";
-    for (const auto cell : route.cells) {
-      std::cout << array.region().coord_at(cell) << ' ';
-    }
-    std::cout << '\n';
+  std::cout << "Route " << array.region().coord_at(from) << " -> "
+            << array.region().coord_at(to) << ": " << route.size() - 1
+            << " hops on the repaired array";
+  if (detour.empty()) {
+    std::cout << " (unreachable without repair).\n";
+  } else {
+    std::cout << " (" << detour.size() - 1 << " without repair).\n";
   }
+  for (const auto cell : route) {
+    std::cout << array.region().coord_at(cell) << ' ';
+  }
+  std::cout << '\n';
 
-  // Replay on the simulator: every fluidic constraint re-checked per cycle.
-  sim.run_routes(*routes);
-  std::cout << "\nSimulator replay clean: droplet " << a << " at "
-            << array.region().coord_at(sim.droplet(a).cell) << ", droplet "
-            << b << " at " << array.region().coord_at(sim.droplet(b).cell)
-            << " after " << sim.now() << " cycles.\n";
-
-  // Show the paper's key operational payoff: the droplets never used a
-  // faulty cell, and any activated spare they used is listed here.
-  for (const auto& route : *routes) {
-    for (const auto cell : route.cells) {
-      if (array.role(cell) == biochip::CellRole::kSpare) {
-        std::cout << "droplet " << route.droplet
-                  << " travelled over activated spare "
-                  << array.region().coord_at(cell) << '\n';
-      }
+  // The paper's operational payoff: the droplet never touches a faulty
+  // cell, and every activated spare it crosses is listed here.
+  int spares_used = 0;
+  for (const auto cell : route) {
+    if (array.role(cell) == biochip::CellRole::kSpare) {
+      ++spares_used;
+      std::cout << "travelled over activated spare "
+                << array.region().coord_at(cell) << '\n';
     }
+  }
+  if (spares_used == 0) {
+    std::cerr << "the route used no activated spare\n";
+    return 1;
   }
   return 0;
 }

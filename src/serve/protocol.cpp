@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 
+#include "assay/multiplexed_chip.hpp"
 #include "common/contracts.hpp"
 #include "common/parse.hpp"
 
@@ -243,6 +244,15 @@ ParsedRequest parse_request(std::string_view line,
       request.param !=
           static_cast<double>(static_cast<std::int32_t>(request.param))) {
     return fail("fixed_count param must be a whole number of cells");
+  }
+  // Checked once the whole line is read: the keys come in any order.
+  const std::int64_t primaries =
+      request.design == campaign::Design::kMultiplexed
+          ? assay::MultiplexedChip::kExpectedPrimaries
+          : request.min_primaries;
+  if (std::int64_t{request.runs} * primaries > kMaxWork) {
+    return fail("\"runs\" x \"primaries\" exceeds the work limit of " +
+                std::to_string(kMaxWork));
   }
   return ParsedRequest{std::move(request), {}};
 }

@@ -45,6 +45,14 @@ namespace dmfb::serve {
 /// instead of stalling every later query. Every campaign asks for <= 240.
 inline constexpr std::int32_t kMaxPrimaries = 65'536;
 
+/// Largest work a request may ask for, as runs x primaries (the
+/// multiplexed chip counts its 252 primaries). A worker computes one query
+/// to completion and SIGTERM drain answers every accepted query, so an
+/// unbounded "runs" could hold a worker, and shutdown, for hours. The
+/// largest perfbench query (10000 x 240) and kMaxPrimaries at the default
+/// 10000 runs both fit well inside.
+inline constexpr std::int64_t kMaxWork = std::int64_t{1} << 31;
+
 /// One parsed wire query, campaign-vocabulary fields resolved.
 struct ServeRequest {
   std::string id;  ///< raw JSON token to echo (number or quoted string)

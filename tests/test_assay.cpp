@@ -1,87 +1,16 @@
-// Tests for the assay layer: Trinder kinetics, the multiplexed diagnostics
-// chip (exact 252/91/108 reconstruction), and the droplet-level scheduler.
-#include <cmath>
+// Tests for the multiplexed diagnostics chip of the paper's Section 7: the
+// exact 252/91/108 reconstruction, its four assay chains, and the
+// no-redundancy yield headline.
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "assay/assay_scheduler.hpp"
-#include "assay/chemistry.hpp"
 #include "assay/multiplexed_chip.hpp"
 #include "biochip/redundancy.hpp"
-#include "common/contracts.hpp"
-#include "common/rng.hpp"
-#include "fault/injector.hpp"
-#include "reconfig/local_reconfig.hpp"
 #include "yield/analytic.hpp"
 
 namespace dmfb::assay {
 namespace {
-
-// ------------------------------------------------------------- chemistry
-
-TEST(Chemistry, FourAssaysDefined) {
-  EXPECT_EQ(all_assays().size(), 4u);
-  const std::set<std::string> names = {"glucose", "lactate", "glutamate",
-                                       "pyruvate"};
-  std::set<std::string> found;
-  for (const AssaySpec& spec : all_assays()) found.insert(spec.name);
-  EXPECT_EQ(found, names);
-}
-
-TEST(Chemistry, LookupByName) {
-  EXPECT_EQ(assay_by_name("glucose").substrate, "glucose");
-  EXPECT_THROW(assay_by_name("caffeine"), ContractViolation);
-}
-
-TEST(Kinetics, ConversionSaturatesAtOne) {
-  const TrinderKinetics kinetics(glucose_assay(), 0.03);
-  EXPECT_DOUBLE_EQ(kinetics.conversion(0.0), 0.0);
-  EXPECT_GT(kinetics.conversion(10.0), 0.5);
-  EXPECT_NEAR(kinetics.conversion(1000.0), 1.0, 1e-9);
-}
-
-TEST(Kinetics, ConversionMonotone) {
-  const TrinderKinetics kinetics(glucose_assay(), 0.03);
-  double previous = -1.0;
-  for (double t = 0.0; t <= 60.0; t += 5.0) {
-    const double c = kinetics.conversion(t);
-    EXPECT_GT(c, previous);
-    previous = c;
-  }
-}
-
-TEST(Kinetics, AbsorbanceLinearInConcentration) {
-  // Beer-Lambert: double the substrate, double the absorbance.
-  const TrinderKinetics kinetics(glucose_assay(), 0.03);
-  const double a1 = kinetics.absorbance(2.0, 30.0);
-  const double a2 = kinetics.absorbance(4.0, 30.0);
-  EXPECT_NEAR(a2, 2.0 * a1, 1e-12);
-}
-
-TEST(Kinetics, InverseRecoversSubstrate) {
-  const TrinderKinetics kinetics(glucose_assay(), 0.03);
-  for (const double substrate : {0.5, 2.0, 5.5, 12.0}) {
-    for (const double seconds : {5.0, 20.0, 90.0}) {
-      const double absorbance = kinetics.absorbance(substrate, seconds);
-      EXPECT_NEAR(kinetics.substrate_from_absorbance(absorbance, seconds),
-                  substrate, 1e-9);
-    }
-  }
-}
-
-TEST(Kinetics, InverseRequiresPositiveConversion) {
-  const TrinderKinetics kinetics(glucose_assay(), 0.03);
-  EXPECT_THROW(kinetics.substrate_from_absorbance(0.5, 0.0),
-               ContractViolation);
-}
-
-TEST(Kinetics, DifferentAssaysDifferentRates) {
-  const TrinderKinetics glucose(glucose_assay(), 0.03);
-  const TrinderKinetics glutamate(glutamate_assay(), 0.03);
-  // Glucose oxidase kinetics are faster than glutamate oxidase here.
-  EXPECT_GT(glucose.conversion(10.0), glutamate.conversion(10.0));
-}
 
 // -------------------------------------------------------- multiplexed chip
 
@@ -168,84 +97,6 @@ TEST(MultiplexedChip, PaperNoRedundancyYieldHeadline) {
   const MultiplexedChip chip = make_multiplexed_chip();
   EXPECT_NEAR(yield::used_cells_yield(chip.array.used_count(), 0.99), 0.3378,
               2e-4);
-}
-
-// --------------------------------------------------------------- scheduler
-
-std::map<std::string, std::map<std::string, double>> demo_samples() {
-  return {{"S1", {{"glucose", 5.5}, {"lactate", 1.2}}},
-          {"S2", {{"glucose", 9.0}, {"lactate", 2.4}}}};
-}
-
-TEST(Scheduler, AllChainsCompleteOnHealthyChip) {
-  const MultiplexedChip chip = make_multiplexed_chip();
-  AssayScheduler scheduler(chip);
-  const auto runs = scheduler.run_all(demo_samples());
-  ASSERT_EQ(runs.size(), 4u);
-  for (const AssayRun& run : runs) {
-    EXPECT_TRUE(run.completed) << "chain " << run.chain_id;
-    EXPECT_GT(run.absorbance, 0.0);
-    EXPECT_GT(run.reaction_seconds, 0.0);
-  }
-}
-
-TEST(Scheduler, MeasurementRecoversTruth) {
-  const MultiplexedChip chip = make_multiplexed_chip();
-  AssayScheduler scheduler(chip);
-  const auto runs = scheduler.run_all(demo_samples());
-  for (const AssayRun& run : runs) {
-    ASSERT_TRUE(run.completed);
-    EXPECT_NEAR(run.measured_concentration_mm, run.true_concentration_mm,
-                1e-6 * run.true_concentration_mm + 1e-9)
-        << run.assay_name << " on " << run.sample_port;
-  }
-}
-
-TEST(Scheduler, GlucoseAndLactateBothMeasured) {
-  const MultiplexedChip chip = make_multiplexed_chip();
-  AssayScheduler scheduler(chip);
-  const auto runs = scheduler.run_all(demo_samples());
-  std::set<std::string> assays;
-  for (const AssayRun& run : runs) assays.insert(run.assay_name);
-  EXPECT_EQ(assays, (std::set<std::string>{"glucose", "lactate"}));
-}
-
-TEST(Scheduler, CompletesOnReconfiguredChipWithFaults) {
-  MultiplexedChip chip = make_multiplexed_chip();
-  // Kill a route cell of chain 0 (column 1) plus a couple of others.
-  Rng rng(2024);
-  const hex::CellIndex on_route = chip.array.region().index_of({1, 7});
-  chip.array.set_health(on_route, biochip::CellHealth::kFaulty);
-  const auto plan =
-      reconfig::LocalReconfigurer(reconfig::CoveragePolicy::kUsedFaultyPrimaries)
-          .plan(chip.array);
-  ASSERT_TRUE(plan.success);
-  AssayScheduler scheduler(chip);
-  const auto runs = scheduler.run_all(demo_samples(), &plan);
-  for (const AssayRun& run : runs) {
-    EXPECT_TRUE(run.completed) << "chain " << run.chain_id;
-    EXPECT_NEAR(run.measured_concentration_mm, run.true_concentration_mm,
-                1e-6 * run.true_concentration_mm + 1e-9);
-  }
-}
-
-TEST(Scheduler, FaultWithoutReconfigBlocksAChain) {
-  MultiplexedChip chip = make_multiplexed_chip();
-  // Wall off chain 0's detector approach: kill the three cells around D0
-  // (1,21): its usable neighbours are (2,21),(1,20)? spare,(0,21)? spare...
-  // Simply kill the detector cell itself; the chain cannot finish.
-  chip.array.set_health(chip.chains[0].detector_cell,
-                        biochip::CellHealth::kFaulty);
-  AssayScheduler scheduler(chip);
-  const auto runs = scheduler.run_all(demo_samples());
-  EXPECT_FALSE(runs[0].completed);
-}
-
-TEST(Scheduler, OptionsValidated) {
-  const MultiplexedChip chip = make_multiplexed_chip();
-  SchedulerOptions options;
-  options.mix_cycles = 0;
-  EXPECT_THROW(AssayScheduler(chip, options), ContractViolation);
 }
 
 }  // namespace

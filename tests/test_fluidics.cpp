@@ -1,20 +1,11 @@
-// Tests for the droplet-level fluidics substrate: mixtures, the
-// electrowetting actuation model, fluidic constraints, routing (single and
-// multi-droplet space-time), and the cycle-accurate simulator.
-#include <cmath>
-#include <map>
-#include <set>
-
+// Tests for the fluidics routing surface: which cells a droplet may use
+// (UsableCells) and the single-droplet shortest-path Router over them,
+// including detours through reconfiguration-activated spares.
 #include <gtest/gtest.h>
 
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
-#include "fault/injector.hpp"
-#include "fluidics/constraints.hpp"
-#include "fluidics/electrowetting.hpp"
-#include "fluidics/mixture.hpp"
 #include "fluidics/router.hpp"
-#include "fluidics/simulator.hpp"
 #include "reconfig/local_reconfig.hpp"
 
 namespace dmfb::fluidics {
@@ -28,157 +19,6 @@ using biochip::DtmbKind;
 biochip::HexArray open_array() {
   return biochip::HexArray(hex::Region::parallelogram(8, 8),
                            [](hex::HexCoord) { return CellRole::kPrimary; });
-}
-
-// ----------------------------------------------------------------- Mixture
-
-TEST(Mixture, EmptyByDefault) {
-  const Mixture mixture;
-  EXPECT_TRUE(mixture.empty());
-  EXPECT_EQ(mixture.amount("glucose"), 0.0);
-}
-
-TEST(Mixture, OfCreatesSingleSpecies) {
-  const Mixture mixture = Mixture::of("glucose", 2.5);
-  EXPECT_DOUBLE_EQ(mixture.amount("glucose"), 2.5);
-  EXPECT_EQ(mixture.amount("lactate"), 0.0);
-}
-
-TEST(Mixture, FromConcentrationConverts) {
-  // 4 mM in 1.5 nL = 6e-3 nanomoles.
-  const Mixture mixture = Mixture::from_concentration("glucose", 4.0, 1.5);
-  EXPECT_NEAR(mixture.amount("glucose"), 6e-3, 1e-15);
-  EXPECT_NEAR(mixture.concentration_mm("glucose", 1.5), 4.0, 1e-12);
-}
-
-TEST(Mixture, AddMerges) {
-  Mixture a = Mixture::of("glucose", 1.0);
-  const Mixture b = Mixture::of("glucose", 0.5);
-  a.add(b);
-  a.add(Mixture::of("reagent", 2.0));
-  EXPECT_DOUBLE_EQ(a.amount("glucose"), 1.5);
-  EXPECT_DOUBLE_EQ(a.amount("reagent"), 2.0);
-}
-
-TEST(Mixture, NegativeAmountClampsAtZero) {
-  Mixture mixture = Mixture::of("glucose", 1.0);
-  mixture.add_amount("glucose", -5.0);
-  EXPECT_EQ(mixture.amount("glucose"), 0.0);
-  EXPECT_TRUE(mixture.empty());
-}
-
-TEST(Mixture, DilutionHalvesConcentration) {
-  const Mixture mixture = Mixture::from_concentration("glucose", 8.0, 1.0);
-  EXPECT_NEAR(mixture.concentration_mm("glucose", 2.0), 4.0, 1e-12);
-}
-
-TEST(Mixture, ValidatesInput) {
-  EXPECT_THROW(Mixture::of("x", -1.0), ContractViolation);
-  EXPECT_THROW(Mixture::from_concentration("x", 1.0, 0.0), ContractViolation);
-  EXPECT_THROW(Mixture().concentration_mm("x", -1.0), ContractViolation);
-}
-
-// --------------------------------------------------------- Electrowetting
-
-TEST(Electrowetting, PinnedBelowThreshold) {
-  const ElectrowettingModel model;
-  EXPECT_EQ(model.velocity_cm_s(0.0), 0.0);
-  EXPECT_EQ(model.velocity_cm_s(model.spec().threshold_voltage), 0.0);
-  EXPECT_EQ(model.hops_per_second(5.0), 0.0);
-  EXPECT_EQ(model.seconds_per_hop(5.0), HUGE_VAL);
-}
-
-TEST(Electrowetting, SaturatesAtMaxVelocity) {
-  const ElectrowettingModel model;
-  EXPECT_NEAR(model.velocity_cm_s(90.0), 20.0, 1e-12);
-  EXPECT_NEAR(model.velocity_cm_s(150.0), 20.0, 1e-12);  // clamped
-}
-
-TEST(Electrowetting, MonotoneBetweenThresholdAndSaturation) {
-  const ElectrowettingModel model;
-  double previous = 0.0;
-  for (double v = 15.0; v <= 90.0; v += 5.0) {
-    const double velocity = model.velocity_cm_s(v);
-    EXPECT_GE(velocity, previous);
-    previous = velocity;
-  }
-}
-
-TEST(Electrowetting, QuadraticDriveShape) {
-  // Electrowetting force ~ V^2: velocity at the RMS midpoint voltage is
-  // half the saturation velocity.
-  const ElectrowettingModel model;
-  const auto& spec = model.spec();
-  const double vth2 = spec.threshold_voltage * spec.threshold_voltage;
-  const double vsat2 = spec.saturation_voltage * spec.saturation_voltage;
-  const double v_mid = std::sqrt((vth2 + vsat2) / 2.0);
-  EXPECT_NEAR(model.velocity_cm_s(v_mid), spec.max_velocity_cm_s / 2.0,
-              1e-9);
-}
-
-TEST(Electrowetting, HopTimeMatchesPitchOverVelocity) {
-  const ElectrowettingModel model;
-  // 1500 um pitch = 0.15 cm; at 20 cm/s a hop takes 7.5 ms.
-  EXPECT_NEAR(model.seconds_per_hop(90.0), 0.0075, 1e-9);
-  EXPECT_NEAR(model.hops_per_second(90.0), 133.333, 0.01);
-}
-
-TEST(Electrowetting, InverseModelRoundTrip) {
-  const ElectrowettingModel model;
-  for (const double velocity : {1.0, 5.0, 10.0, 19.9}) {
-    const double voltage = model.voltage_for_velocity(velocity);
-    EXPECT_NEAR(model.velocity_cm_s(voltage), velocity, 1e-9);
-  }
-}
-
-TEST(Electrowetting, SpecValidation) {
-  ElectrowettingSpec bad;
-  bad.saturation_voltage = bad.threshold_voltage;  // must be >
-  EXPECT_THROW(ElectrowettingModel{bad}, ContractViolation);
-}
-
-// ------------------------------------------------------------- constraints
-
-TEST(Constraints, StaticViolationWhenAdjacent) {
-  const auto array = open_array();
-  const ConstraintChecker checker(array);
-  const auto a = array.region().index_of({2, 2});
-  const auto b = array.region().index_of({3, 2});
-  const auto violation = checker.check_static({{0, a}, {1, b}});
-  ASSERT_TRUE(violation.has_value());
-  EXPECT_EQ(violation->kind, FluidicViolationInfo::Kind::kStatic);
-}
-
-TEST(Constraints, NoViolationAtDistanceTwo) {
-  const auto array = open_array();
-  const ConstraintChecker checker(array);
-  const auto a = array.region().index_of({2, 2});
-  const auto b = array.region().index_of({4, 2});
-  EXPECT_FALSE(checker.check_static({{0, a}, {1, b}}).has_value());
-}
-
-TEST(Constraints, AllowedPairExempt) {
-  const auto array = open_array();
-  ConstraintChecker checker(array);
-  checker.allow_pair(0, 1);
-  const auto a = array.region().index_of({2, 2});
-  const auto b = array.region().index_of({3, 2});
-  EXPECT_FALSE(checker.check_static({{0, a}, {1, b}}).has_value());
-  checker.forbid_pair(1, 0);  // order-insensitive
-  EXPECT_TRUE(checker.check_static({{0, a}, {1, b}}).has_value());
-}
-
-TEST(Constraints, DynamicViolationAgainstPreviousPosition) {
-  const auto array = open_array();
-  const ConstraintChecker checker(array);
-  const auto a_prev = array.region().index_of({2, 2});
-  const auto a_now = array.region().index_of({2, 2});
-  const auto b_prev = array.region().index_of({4, 2});
-  const auto b_now = array.region().index_of({3, 2});
-  // b moved next to a's previous (and current) cell.
-  const auto violation = checker.check_dynamic({{0, a_prev}, {1, b_prev}},
-                                               {{0, a_now}, {1, b_now}});
-  ASSERT_TRUE(violation.has_value());
 }
 
 // ------------------------------------------------------------ UsableCells
@@ -321,291 +161,6 @@ TEST(Router, ReconfiguredSpareOpensDetour) {
                                            array.region().index_of({7, 5}));
   ASSERT_FALSE(route.empty());
   for (const auto cell : route) EXPECT_NE(cell, faulty);
-}
-
-// ------------------------------------------------------ MultiDropletRouter
-
-TEST(MultiRouter, TwoCrossingDropletsRespectConstraints) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  const MultiDropletRouter router(usable);
-  const auto routes = router.route({
-      {0, array.region().index_of({0, 3}), array.region().index_of({7, 3}), {}},
-      {1, array.region().index_of({3, 0}), array.region().index_of({3, 7}), {}},
-  });
-  ASSERT_TRUE(routes.has_value());
-  ASSERT_EQ(routes->size(), 2u);
-  // Verify constraints over the full makespan.
-  const auto& r0 = (*routes)[0];
-  const auto& r1 = (*routes)[1];
-  const auto makespan = std::max(r0.arrival_time(), r1.arrival_time());
-  for (std::int64_t t = 0; t <= makespan; ++t) {
-    const auto c0 = array.region().coord_at(r0.at(t));
-    const auto c1 = array.region().coord_at(r1.at(t));
-    EXPECT_GE(hex::distance(c0, c1), 2) << "static at t=" << t;
-    if (t > 0) {
-      EXPECT_GE(hex::distance(c0, array.region().coord_at(r1.at(t - 1))), 2);
-      EXPECT_GE(hex::distance(c1, array.region().coord_at(r0.at(t - 1))), 2);
-    }
-  }
-}
-
-TEST(MultiRouter, RoutesStartAndEndCorrectly) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  const MultiDropletRouter router(usable);
-  const auto from = array.region().index_of({1, 1});
-  const auto to = array.region().index_of({6, 6});
-  const auto routes = router.route({{7, from, to, {}}});
-  ASSERT_TRUE(routes.has_value());
-  EXPECT_EQ((*routes)[0].droplet, 7);
-  EXPECT_EQ((*routes)[0].cells.front(), from);
-  EXPECT_EQ((*routes)[0].cells.back(), to);
-}
-
-TEST(MultiRouter, SecondDropletWaitsForCorridor) {
-  auto array = biochip::HexArray(
-      hex::Region::parallelogram(7, 3),
-      [](hex::HexCoord) { return CellRole::kPrimary; });
-  // Corridor row r=1; droplets start at both ends and must pass... they
-  // cannot swap in a 3-row array without one yielding; the router must
-  // still find *some* coordinated plan or fail gracefully.
-  const UsableCells usable(array);
-  const MultiDropletRouter router(usable, 128);
-  const auto routes = router.route({
-      {0, array.region().index_of({0, 1}), array.region().index_of({6, 1}), {}},
-      {1, array.region().index_of({6, 0}), array.region().index_of({0, 0}), {}},
-  });
-  if (routes.has_value()) {
-    EXPECT_EQ((*routes)[0].cells.back(),
-              array.region().index_of({6, 1}));
-    EXPECT_EQ((*routes)[1].cells.back(),
-              array.region().index_of({0, 0}));
-  }
-  // (Either outcome is acceptable; the property under test is no crash and
-  // constraint-valid routes when produced — checked by the simulator replay
-  // below when routable.)
-}
-
-TEST(MultiRouter, ExemptPairMayApproach) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  const MultiDropletRouter router(usable);
-  // Droplet 1 routes to a cell adjacent to droplet 0's park — only legal
-  // because of the exemption.
-  const auto goal0 = array.region().index_of({4, 4});
-  const auto goal1 = array.region().index_of({5, 4});
-  const auto routes = router.route({
-      {0, array.region().index_of({0, 0}), goal0, {}},
-      {1, array.region().index_of({7, 7}), goal1, {0}},
-  });
-  ASSERT_TRUE(routes.has_value());
-  EXPECT_EQ((*routes)[1].cells.back(), goal1);
-}
-
-TEST(MultiRouter, BlockedGoalFails) {
-  auto array = open_array();
-  array.set_health(array.region().index_of({6, 6}), CellHealth::kFaulty);
-  const UsableCells usable(array);
-  const MultiDropletRouter router(usable);
-  const auto routes = router.route({{0, array.region().index_of({0, 0}),
-                                     array.region().index_of({6, 6}),
-                                     {}}});
-  EXPECT_FALSE(routes.has_value());
-}
-
-// --------------------------------------------------------------- Simulator
-
-TEST(Simulator, DispenseAndObserve) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const auto at = array.region().index_of({2, 2});
-  const DropletId id = sim.dispense(at, 1.5, Mixture::of("glucose", 1.0));
-  EXPECT_EQ(sim.droplet(id).cell, at);
-  EXPECT_EQ(sim.active_count(), 1);
-  EXPECT_EQ(sim.droplet_at(at), id);
-  EXPECT_FALSE(sim.droplet_at(0).has_value());
-}
-
-TEST(Simulator, DispenseOnFaultyCellThrows) {
-  auto array = open_array();
-  array.set_health(3, CellHealth::kFaulty);
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  EXPECT_THROW(sim.dispense(3, 1.0, {}), FluidicViolation);
-}
-
-TEST(Simulator, DispenseAdjacentToDropletThrows) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  sim.dispense(array.region().index_of({2, 2}), 1.0, {});
-  EXPECT_THROW(sim.dispense(array.region().index_of({3, 2}), 1.0, {}),
-               FluidicViolation);
-  EXPECT_EQ(sim.active_count(), 1);  // failed dispense rolled back
-}
-
-TEST(Simulator, SingleHopMove) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const auto from = array.region().index_of({2, 2});
-  const auto to = array.region().index_of({3, 2});
-  const DropletId id = sim.dispense(from, 1.0, {});
-  sim.step({{id, to}});
-  EXPECT_EQ(sim.droplet(id).cell, to);
-  EXPECT_EQ(sim.now(), 1);
-}
-
-TEST(Simulator, MultiHopMoveRejected) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const DropletId id = sim.dispense(array.region().index_of({2, 2}), 1.0, {});
-  EXPECT_THROW(sim.step({{id, array.region().index_of({5, 5})}}),
-               FluidicViolation);
-}
-
-TEST(Simulator, MoveOntoFaultyCellRejected) {
-  auto array = open_array();
-  const auto bad = array.region().index_of({3, 2});
-  array.set_health(bad, CellHealth::kFaulty);
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const DropletId id = sim.dispense(array.region().index_of({2, 2}), 1.0, {});
-  EXPECT_THROW(sim.step({{id, bad}}), FluidicViolation);
-}
-
-TEST(Simulator, StaticViolationDetected) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const DropletId a = sim.dispense(array.region().index_of({2, 2}), 1.0, {});
-  const DropletId b = sim.dispense(array.region().index_of({5, 2}), 1.0, {});
-  (void)a;
-  // b moves to distance 1 from a -> static violation.
-  sim.step({{b, array.region().index_of({4, 2})}});  // distance 2: fine
-  EXPECT_THROW(sim.step({{b, array.region().index_of({3, 2})}}),
-               FluidicViolation);
-}
-
-TEST(Simulator, MergeAllowedPairCoalesces) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const auto cell_a = array.region().index_of({2, 2});
-  const auto cell_b = array.region().index_of({4, 2});
-  const DropletId a =
-      sim.dispense(cell_a, 1.0, Mixture::of("glucose", 1.0));
-  const DropletId b =
-      sim.dispense(cell_b, 1.0, Mixture::of("reagent", 2.0));
-  sim.allow_merge(a, b);
-  sim.step({{b, array.region().index_of({3, 2})}});
-  sim.step({{b, cell_a}});
-  EXPECT_TRUE(sim.droplet(a).active);
-  EXPECT_FALSE(sim.droplet(b).active);
-  EXPECT_EQ(sim.active_count(), 1);
-  EXPECT_DOUBLE_EQ(sim.droplet(a).volume_nl, 2.0);
-  EXPECT_DOUBLE_EQ(sim.droplet(a).mixture.amount("glucose"), 1.0);
-  EXPECT_DOUBLE_EQ(sim.droplet(a).mixture.amount("reagent"), 2.0);
-  EXPECT_EQ(sim.droplet(a).formed_at, sim.now());  // reaction clock reset
-}
-
-TEST(Simulator, SplitProducesTwoHalves) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const DropletId parent = sim.dispense(array.region().index_of({3, 3}), 2.0,
-                                        Mixture::of("glucose", 1.0));
-  const auto [left, right] = sim.split(parent, hex::Direction::kEast);
-  EXPECT_FALSE(sim.droplet(parent).active);
-  EXPECT_EQ(sim.active_count(), 2);
-  EXPECT_DOUBLE_EQ(sim.droplet(left).volume_nl, 1.0);
-  EXPECT_DOUBLE_EQ(sim.droplet(right).volume_nl, 1.0);
-  EXPECT_DOUBLE_EQ(sim.droplet(left).mixture.amount("glucose"), 0.5);
-  EXPECT_EQ(sim.droplet(left).cell, array.region().index_of({4, 3}));
-  EXPECT_EQ(sim.droplet(right).cell, array.region().index_of({2, 3}));
-}
-
-TEST(Simulator, SplitNeedsUsableFlanks) {
-  auto array = open_array();
-  array.set_health(array.region().index_of({4, 3}), CellHealth::kFaulty);
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const DropletId parent =
-      sim.dispense(array.region().index_of({3, 3}), 2.0, {});
-  EXPECT_THROW(sim.split(parent, hex::Direction::kEast), FluidicViolation);
-}
-
-TEST(Simulator, RunRoutesReplaysRouterOutput) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  const MultiDropletRouter router(usable);
-  DropletSimulator sim(usable);
-  const auto from0 = array.region().index_of({0, 3});
-  const auto to0 = array.region().index_of({7, 3});
-  const auto from1 = array.region().index_of({3, 0});
-  const auto to1 = array.region().index_of({3, 7});
-  const DropletId d0 = sim.dispense(from0, 1.0, {});
-  const DropletId d1 = sim.dispense(from1, 1.0, {});
-  const auto routes = router.route({{d0, from0, to0, {}},
-                                    {d1, from1, to1, {}}});
-  ASSERT_TRUE(routes.has_value());
-  // The simulator re-checks every constraint; a clean replay proves the
-  // router's plan is fluidically sound.
-  EXPECT_NO_THROW(sim.run_routes(*routes));
-  EXPECT_EQ(sim.droplet(d0).cell, to0);
-  EXPECT_EQ(sim.droplet(d1).cell, to1);
-}
-
-TEST(Simulator, IdleAdvancesClockOnly) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const DropletId id = sim.dispense(array.region().index_of({2, 2}), 1.0, {});
-  sim.idle(5);
-  EXPECT_EQ(sim.now(), 5);
-  EXPECT_EQ(sim.droplet(id).cell, array.region().index_of({2, 2}));
-}
-
-TEST(Simulator, RemoveFreesCell) {
-  const auto array = open_array();
-  const UsableCells usable(array);
-  DropletSimulator sim(usable);
-  const auto at = array.region().index_of({2, 2});
-  const DropletId id = sim.dispense(at, 1.0, {});
-  sim.remove(id);
-  EXPECT_EQ(sim.active_count(), 0);
-  EXPECT_NO_THROW(sim.dispense(at, 1.0, {}));
-}
-
-TEST(Simulator, RouteThroughActivatedSpareAfterReconfig) {
-  // End-to-end: fault -> reconfig plan -> spare activated -> droplet routes
-  // through the replacement cell without violating anything.
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 9, 9);
-  Rng rng(99);
-  fault::FixedCountInjector(5).inject(array, rng);
-  const auto plan = reconfig::LocalReconfigurer().plan(array);
-  if (!plan.success) GTEST_SKIP() << "unlucky fault draw";
-  UsableCells usable(array);
-  usable.activate_plan(plan);
-  const Router router(usable);
-  DropletSimulator sim(usable);
-  // Find two healthy far-apart primaries.
-  const auto from = array.region().index_of({1, 1});
-  const auto to = array.region().index_of({7, 7});
-  if (!usable.usable(from) || !usable.usable(to)) {
-    GTEST_SKIP() << "endpoints faulty in this draw";
-  }
-  const auto route = router.shortest_route(from, to);
-  ASSERT_FALSE(route.empty());
-  const DropletId id = sim.dispense(from, 1.0, {});
-  TimedRoute timed;
-  timed.droplet = id;
-  timed.cells = route;
-  EXPECT_NO_THROW(sim.run_routes({timed}));
-  EXPECT_EQ(sim.droplet(id).cell, to);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Integration tests: the full defect-tolerance pipeline of the paper, end
 // to end — manufacture (inject) -> test (stimulus droplets) -> reconfigure
-// (bipartite matching) -> operate (droplet-level assays) — plus the paper's
-// headline numbers wired through the real objects.
+// (bipartite matching) -> operate (the multiplexed assay re-scheduled and
+// re-routed by the operational kernel) — plus the paper's headline numbers
+// wired through the real objects.
 #include <gtest/gtest.h>
 
-#include "assay/assay_scheduler.hpp"
 #include "assay/multiplexed_chip.hpp"
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
@@ -14,6 +14,7 @@
 #include "io/ascii_render.hpp"
 #include "io/table.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/assay_workload.hpp"
 #include "testplan/stimulus_test.hpp"
 #include "yield/analytic.hpp"
 #include "yield/monte_carlo.hpp"
@@ -47,53 +48,44 @@ TEST(Pipeline, InjectTestReconfigureAgreeOnFaults) {
 
 TEST(Pipeline, ReconfiguredChipRunsAssaysAfterRandomFaults) {
   // Fig. 12 narrative as a live run: random faults on the diagnostics chip,
-  // local reconfiguration, then all four assays still complete and read the
-  // correct concentrations.
+  // local reconfiguration, then the operational kernel re-schedules and
+  // re-routes the multiplexed assay on the repaired array.
+  const auto workload = sim::AssayWorkload::multiplexed();
+  sim::OperationalState state(workload);
   Rng rng(0xD1A6);
   int attempted = 0;
   int successes = 0;
   for (int trial = 0; trial < 20; ++trial) {
     assay::MultiplexedChip chip = assay::make_multiplexed_chip();
     Rng trial_rng = rng.split();
-    fault::FixedCountInjector(10).inject(chip.array, trial_rng);
+    const auto faults =
+        fault::FixedCountInjector(10).inject(chip.array, trial_rng);
     const auto plan =
         reconfig::LocalReconfigurer(
             reconfig::CoveragePolicy::kUsedFaultyPrimaries)
             .plan(chip.array);
     if (!plan.success) continue;
-    // Skip draws that kill fixed infrastructure (ports, mixers, detectors);
-    // those need module re-placement, not cell-level replacement.
-    bool infrastructure_hit = false;
-    for (const auto& chain : chip.chains) {
-      for (const auto cell : {chain.sample_source, chain.reagent_source,
-                              chain.detector_cell}) {
-        if (chip.array.health(cell) == CellHealth::kFaulty) {
-          infrastructure_hit = true;
-        }
-      }
-      for (const auto cell : chain.mixer_cells) {
-        if (chip.array.health(cell) == CellHealth::kFaulty) {
-          infrastructure_hit = true;
-        }
+    // Skip draws that kill a placed module (port, mixer, detector); those
+    // need module re-placement, not cell-level replacement.
+    bool module_hit = false;
+    for (const sim::WorkloadModule& module : workload->modules()) {
+      for (const auto cell : module.cells) {
+        module_hit |= chip.array.health(cell) == CellHealth::kFaulty;
       }
     }
-    if (infrastructure_hit) continue;
+    if (module_hit) continue;
     ++attempted;
-    assay::AssayScheduler scheduler(chip);
-    const auto runs = scheduler.run_all(
-        {{"S1", {{"glucose", 5.5}, {"lactate", 1.2}}},
-         {"S2", {{"glucose", 9.0}, {"lactate", 2.4}}}},
-        &plan);
-    bool all_ok = true;
-    for (const auto& run : runs) {
-      all_ok = all_ok && run.completed &&
-               std::abs(run.measured_concentration_mm -
-                        run.true_concentration_mm) < 1e-6;
-    }
-    if (all_ok) ++successes;
+    state.reset();
+    for (const auto cell : faults.cells()) state.faults().set_faulty(cell);
+    const sim::OperationalRun run = state.evaluate(
+        reconfig::CoveragePolicy::kUsedFaultyPrimaries,
+        graph::MatchingEngine::kHopcroftKarp,
+        reconfig::ReplacementPool::kSparesOnly);
+    EXPECT_TRUE(run.structural) << "trial " << trial;
+    if (run.operational) ++successes;
   }
-  // Every trial whose fixed infrastructure survived must run to completion
-  // on the reconfigured chip; the sweep must actually exercise several.
+  // Every trial whose modules survived must run to completion on the
+  // reconfigured chip; the sweep must actually exercise several.
   EXPECT_EQ(successes, attempted);
   EXPECT_GE(attempted, 5);
 }

@@ -1,19 +1,15 @@
-// Fuzz-style property tests: router output must always replay cleanly on
-// the constraint-checking simulator, across random arrays, faults, and
-// requests. The simulator is the independent auditor — any constraint bug
-// in the router surfaces as a FluidicViolation here. A second family pins
-// HopBoard::hop_counts (word-parallel BFS on a bitboard) to the BFS route
-// length on the same usable set.
+// Fuzz-style property tests over random arrays and faults: Router routes
+// stay on usable cells and within their length bounds, and
+// HopBoard::hop_counts (word-parallel BFS on a bitboard) matches the BFS
+// route length on the same usable set.
 #include <gtest/gtest.h>
 
 #include "assay/multiplexed_chip.hpp"
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
-#include "fluidics/actuation.hpp"
 #include "fluidics/hop_board.hpp"
 #include "fluidics/router.hpp"
-#include "fluidics/simulator.hpp"
 #include "reconfig/local_reconfig.hpp"
 
 namespace dmfb::fluidics {
@@ -41,65 +37,6 @@ hex::CellIndex pick_clear_cell(const biochip::HexArray& array,
     if (clear) return cell;
   }
   return hex::kInvalidCell;
-}
-
-TEST(RouterFuzz, RoutesAlwaysReplayCleanly) {
-  Rng rng(0xF022);
-  int routed_cases = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    auto array =
-        biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 10, 10);
-    fault::FixedCountInjector(rng.uniform_int(0, 8)).inject(array, rng);
-    const auto plan = reconfig::LocalReconfigurer().plan(array);
-    UsableCells usable(array);
-    if (plan.success) usable.activate_plan(plan);
-
-    // 1-3 droplets with random distinct, mutually clear endpoints.
-    const int droplet_count = rng.uniform_int(1, 3);
-    std::vector<hex::CellIndex> sources;
-    std::vector<hex::CellIndex> goals;
-    for (int i = 0; i < droplet_count; ++i) {
-      const auto source = pick_clear_cell(array, usable, sources, rng);
-      if (source == hex::kInvalidCell) break;
-      sources.push_back(source);
-    }
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      const auto goal = pick_clear_cell(array, usable, goals, rng);
-      if (goal == hex::kInvalidCell) break;
-      goals.push_back(goal);
-    }
-    if (goals.size() != sources.size() || sources.empty()) continue;
-
-    DropletSimulator sim(usable);
-    std::vector<RouteRequest> requests;
-    bool dispensed_ok = true;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      try {
-        const auto id = sim.dispense(sources[i], 1.0, {});
-        requests.push_back({id, sources[i], goals[i], {}});
-      } catch (const FluidicViolation&) {
-        dispensed_ok = false;  // random sources happened to conflict
-        break;
-      }
-    }
-    if (!dispensed_ok) continue;
-
-    const MultiDropletRouter router(usable, 256);
-    const auto routes = router.route(requests);
-    if (!routes) continue;  // blocked instances are legitimate
-    ++routed_cases;
-
-    // The property: replay NEVER throws, droplets land on their goals, and
-    // the compiled actuation program validates.
-    ASSERT_NO_THROW(sim.run_routes(*routes)) << "trial " << trial;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      EXPECT_EQ(sim.droplet(requests[i].droplet).cell, requests[i].to);
-    }
-    const auto program = compile_routes(*routes);
-    EXPECT_EQ(validate_program(program, *routes, array),
-              ActuationFault::kNone);
-  }
-  EXPECT_GT(routed_cases, 20) << "fuzz sweep must exercise real routings";
 }
 
 TEST(RouterFuzz, RoutesNeverTouchFaultyOrReservedCells) {

@@ -444,6 +444,46 @@ TEST(Server, PrimariesAboveTheLimitAnswerAnErrorAndServingContinues) {
   EXPECT_EQ(seen[1].rfind("{\"id\": 2, \"yield\"", 0), 0u) << seen[1];
 }
 
+TEST(Server, WorkAboveTheBudgetAnswersAnErrorAndServingContinues) {
+  const auto request_line = [](std::int32_t id, std::int64_t runs) {
+    return "{\"id\": " + std::to_string(id) + ", \"runs\": " +
+           std::to_string(runs) + ", \"design\": \"dtmb2_6\", " +
+           "\"injector\": \"bernoulli\", \"param\": 0.9, " +
+           "\"primaries\": " + std::to_string(kMaxPrimaries) + "}";
+  };
+  // runs x primaries at the budget parses, one run more is refused; "runs"
+  // precedes "primaries" on the line, so the check waits for the whole line.
+  const std::int64_t at_limit = kMaxWork / kMaxPrimaries;
+  ASSERT_EQ(at_limit * kMaxPrimaries, kMaxWork);
+  EXPECT_TRUE(parse_request(request_line(1, at_limit), 1).ok());
+  const ParsedRequest refused =
+      parse_request(request_line(1, at_limit + 1), 1);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error.find(std::to_string(kMaxWork)), std::string::npos)
+      << refused.error;
+  // The multiplexed chip counts its 252 primaries whatever "primaries" says.
+  const std::string multiplexed =
+      "{\"design\": \"multiplexed\", \"injector\": \"fixed_count\", "
+      "\"param\": 5, \"primaries\": 1, \"runs\": 2000000000}";
+  EXPECT_FALSE(parse_request(multiplexed, 1).ok());
+
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  const std::string out = serve_batch(
+      server, request_line(1, at_limit + 1) + "\n" +
+                  "{\"id\": 2, \"design\": \"dtmb2_6\", \"injector\": "
+                  "\"bernoulli\", \"param\": 0.9, \"runs\": 60}\n");
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> seen;
+  while (std::getline(lines, line)) seen.push_back(line);
+  ASSERT_EQ(seen.size(), 2u) << out;
+  EXPECT_EQ(seen[0].rfind("{\"id\": 1, \"error\"", 0), 0u) << seen[0];
+  EXPECT_NE(seen[0].find("work limit"), std::string::npos) << seen[0];
+  EXPECT_EQ(seen[1].rfind("{\"id\": 2, \"yield\"", 0), 0u) << seen[1];
+}
+
 TEST(Server, DuplicateQueriesComputeOnceAcrossServeCalls) {
   ServerOptions options;
   options.threads = 2;
