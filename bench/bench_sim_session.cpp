@@ -20,10 +20,15 @@
 // and is what CI diffs against bench/baselines/BENCH_mc_yield.json.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <span>
+#include <vector>
+
 #include "biochip/dtmb.hpp"
 #include "campaign/builtin.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "fault/draws.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "reconfig/local_reconfig.hpp"
@@ -362,6 +367,53 @@ void BM_McYieldRun_Operational(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_McYieldRun_Operational);
+
+// v1 Bernoulli injection alone (print-only, not part of the CI ratio
+// gate): one iteration draws fault::kMaxBernoulliLanes runs into a
+// FaultState, with the scalar per-run sim::inject (the path
+// BM_McYieldRun_Session times) or with one sim::inject_lanes group loaded
+// run by run (the path Session's v1 Bernoulli run loop takes). Same
+// streams, same fault bitmaps.
+
+void BM_InjectBernoulliV1(benchmark::State& state) {
+  const auto design = sim::ChipDesign::make(bench_array());
+  sim::FaultState fault_state(design);
+  const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
+  std::int32_t run = 0;
+  for (auto _ : state) {
+    for (std::int32_t l = 0; l < fault::kMaxBernoulliLanes; ++l) {
+      Rng rng = sim::run_stream(kSeed, run++);
+      sim::inject(model, fault_state, rng);
+      benchmark::DoNotOptimize(fault_state.faulty_count());
+      fault_state.reset();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * fault::kMaxBernoulliLanes);
+}
+BENCHMARK(BM_InjectBernoulliV1);
+
+void BM_InjectBernoulliV1_Lanes(benchmark::State& state) {
+  const auto design = sim::ChipDesign::make(bench_array());
+  sim::FaultState fault_state(design);
+  const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
+  const std::size_t word_count = sim::fault_word_count(design->cell_count());
+  std::array<Rng, fault::kMaxBernoulliLanes> rngs;
+  std::vector<std::uint64_t> words(rngs.size() * word_count);
+  std::int32_t run = 0;
+  for (auto _ : state) {
+    for (Rng& rng : rngs) rng = sim::run_stream(kSeed, run++);
+    sim::inject_lanes(model, *design, rngs, words);
+    for (std::size_t l = 0; l < rngs.size(); ++l) {
+      fault_state.load_fault_words(
+          std::span(words).subspan(l * word_count, word_count));
+      benchmark::DoNotOptimize(fault_state.faulty_count());
+      fault_state.reset();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * fault::kMaxBernoulliLanes);
+  state.SetLabel(fault::bernoulli_lane_kernels().front().isa);
+}
+BENCHMARK(BM_InjectBernoulliV1_Lanes);
 
 // Fig9-sized sweep (3 designs x 3 sizes x 9 p values) at reduced runs.
 

@@ -9,6 +9,7 @@
 // worker / experiment arm) from a single experiment seed.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,8 +22,18 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
+  /// The four xoshiro256** state words, in update order.
+  using State = std::array<std::uint64_t, 4>;
+
   /// Seeds the generator; any seed value (including 0) is acceptable.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+
+  /// A generator resuming at `state` (as returned by state()): it draws
+  /// exactly what the generator that reported it would draw next. Lets a
+  /// kernel step many streams in lockstep and hand each one back.
+  explicit Rng(const State& state) noexcept : state_(state) {}
+
+  State state() const noexcept { return state_; }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
@@ -104,7 +115,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::uint64_t state_[4];
+  State state_;
 };
 
 /// splitmix64 step — exposed for deterministic seed derivation in tests.

@@ -43,6 +43,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -119,6 +120,121 @@ void bernoulli_draws(Rng& rng, std::int32_t cells, double kill_prob,
     if (rng.bernoulli(kill_prob)) on_fault(cell);
   }
 }
+
+/// The v1 Bernoulli test in integers. For 0 < kill_prob < 1,
+/// rng.bernoulli(kill_prob) is true exactly when its raw draw x has
+/// (x >> 11) < bernoulli_threshold(kill_prob): uniform01() is (x >> 11)
+/// times 2^-53, scaling both sides by 2^53 is exact, and an integer is
+/// below a real bound iff it is below the bound's ceiling. The result is
+/// in [1, 2^53).
+inline std::uint64_t bernoulli_threshold(double kill_prob) {
+  DMFB_EXPECTS(kill_prob > 0.0 && kill_prob < 1.0);
+  return static_cast<std::uint64_t>(std::ceil(kill_prob * 0x1.0p53));
+}
+
+/// Most runs one call of bernoulli_draws_lanes(std::span<Rng>, ...) draws.
+inline constexpr std::int32_t kMaxBernoulliLanes = 8;
+
+namespace detail {
+/// R 64-bit lanes as one GCC/Clang vector; element-wise operators, and
+/// scalars broadcast. (A dependent vector_size must sit in a class
+/// template: GCC drops it on a typedef local to a function template.)
+template <int R>
+struct LaneVector {
+  typedef std::uint64_t type __attribute__((vector_size(8 * R)));
+};
+}  // namespace detail
+
+/// Bernoulli v1 for R runs in lockstep, the multi-run form of
+/// bernoulli_draws(Rng&, ...) with a kill callback that consumes one
+/// classification draw. Lane l steps the xoshiro256** state states[l]:
+/// per cell one draw, tested against `threshold` (bernoulli_threshold),
+/// and for a killed cell a second draw, taken by a masked step instead of
+/// a branch. Lane l's fault bits land in words[l * word_count, ...), cell
+/// c at word c / 64, bit c % 64, where word_count = fault words of `cells`;
+/// each state ends where that lane's Rng would. R is a lane count, not a
+/// policy: every width draws the same bits.
+template <int R>
+[[gnu::always_inline]] inline void bernoulli_draws_lanes(
+    Rng::State* states, std::int32_t cells, std::uint64_t threshold,
+    std::uint64_t* words) {
+  using Lanes = typename detail::LaneVector<R>::type;
+  Lanes s0{};
+  Lanes s1{};
+  Lanes s2{};
+  Lanes s3{};
+  for (int l = 0; l < R; ++l) {
+    s0[l] = states[l][0];
+    s1[l] = states[l][1];
+    s2[l] = states[l][2];
+    s3[l] = states[l][3];
+  }
+  const auto word_count = static_cast<std::size_t>((cells + 63) / 64);
+  for (std::size_t w = 0; w < word_count; ++w) {
+    const auto first = static_cast<std::int32_t>(w * 64);
+    const std::int32_t last = first + std::min(cells - first, 64);
+    Lanes bits{};
+    for (std::int32_t cell = first; cell < last; ++cell) {
+      // Rng::operator(): the output, then the state update. Products are
+      // shift-adds (x86 has no 64-bit lane multiply before AVX-512DQ), and
+      // rotations are spelled out: a helper taking vectors by value would
+      // be compiled for the caller's ISA only when inlined.
+      const Lanes m = (s1 << 2) + s1;
+      const Lanes r = (m << 7) | (m >> 57);
+      const Lanes x = (r << 3) + r;
+      Lanes t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = (s3 << 45) | (s3 >> 19);
+      // (x >> 11) and threshold are below 2^53, so their difference wraps
+      // (top bit set) exactly when the draw kills the cell.
+      const Lanes kill = Lanes{} - (((x >> 11) - threshold) >> 63);
+      bits |= kill & (std::uint64_t{1} << (cell & 63));
+      // The classification draw: a full step, kept only where kill is set.
+      t = s1 << 17;
+      const Lanes n2 = s2 ^ s0;
+      const Lanes n3 = s3 ^ s1;
+      const Lanes n1 = s1 ^ n2;
+      const Lanes n0 = s0 ^ n3;
+      s0 = (n0 & kill) | (s0 & ~kill);
+      s1 = (n1 & kill) | (s1 & ~kill);
+      s2 = ((n2 ^ t) & kill) | (s2 & ~kill);
+      s3 = (((n3 << 45) | (n3 >> 19)) & kill) | (s3 & ~kill);
+    }
+    for (int l = 0; l < R; ++l) {
+      words[static_cast<std::size_t>(l) * word_count + w] = bits[l];
+    }
+  }
+  for (int l = 0; l < R; ++l) states[l] = {s0[l], s1[l], s2[l], s3[l]};
+}
+
+/// bernoulli_draws_lanes<R> for rngs.size() <= kMaxBernoulliLanes runs at
+/// once, on the widest lane kernel this CPU executes (see
+/// bernoulli_lane_kernels); requires 0 < kill_prob < 1. Run l's fault bits
+/// land in words[l * word_count, ...), which must hold rngs.size() *
+/// word_count words, and rngs[l] ends where bernoulli_draws would leave it
+/// with one classification draw per kill.
+void bernoulli_draws_lanes(std::span<Rng> rngs, std::int32_t cells,
+                           double kill_prob, std::span<std::uint64_t> words);
+
+/// One compiled width of bernoulli_draws_lanes<R>: `run` draws `lanes`
+/// runs, with bernoulli_draws_lanes<R>'s arguments.
+struct BernoulliLaneKernel {
+  const char* isa;
+  std::int32_t lanes;
+  void (*run)(Rng::State* states, std::int32_t cells, std::uint64_t threshold,
+              std::uint64_t* words);
+};
+
+/// The lane kernels this build compiled that this CPU can execute, the
+/// one bernoulli_draws_lanes(std::span<Rng>, ...) uses first. GCC on
+/// x86-64 compiles an AVX-512 (8 lanes) and an AVX2 (4 lanes) kernel
+/// beside the baseline-ISA one (8 lanes) and picks by CPU detection at
+/// run time; other compilers and targets compile the baseline one only.
+std::span<const BernoulliLaneKernel> bernoulli_lane_kernels();
 
 /// Bernoulli v2: the same law by geometric skip-sampling, O(faults) draws;
 /// cells arrive in ascending order.

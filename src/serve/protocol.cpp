@@ -195,6 +195,11 @@ ParsedRequest parse_request(std::string_view line,
         request.pool = *pool;
       } else if (*key == "primaries") {
         if (!take_i32(request.min_primaries)) return bad_value();
+        // Below 1 no design exists, and the runs x primaries budget below
+        // would be vacuous.
+        if (request.min_primaries < 1) {
+          return fail("\"primaries\" must be at least 1");
+        }
         if (request.min_primaries > kMaxPrimaries) {
           return fail("\"primaries\" exceeds the limit of " +
                       std::to_string(kMaxPrimaries));

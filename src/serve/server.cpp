@@ -108,22 +108,26 @@ std::shared_ptr<sim::Session>& Server::session_for(
   // shared_ptr. The multiplexed chip is fixed-size, so its primaries key
   // collapses to 0 (any requested minimum resolves to the same session).
   const bool multiplexed = request.design == campaign::Design::kMultiplexed;
-  auto& session = sessions_[{request.design,
-                             multiplexed ? 0 : request.min_primaries}];
-  if (!session) {
-    if (multiplexed) {
-      // Workload-backed so one session answers structural AND assay
-      // queries over the same design snapshot.
-      session =
-          std::make_shared<sim::Session>(sim::AssayWorkload::multiplexed());
-    } else {
-      session = std::make_shared<sim::Session>(campaign::build_design_array(
-          request.design, request.min_primaries));
-    }
-    session->set_cache_capacity(options_.cache_capacity);
-    if (options_.store) session->attach_result_cache(options_.store);
+  const std::pair<campaign::Design, std::int32_t> key{
+      request.design, multiplexed ? 0 : request.min_primaries};
+  if (const auto found = sessions_.find(key); found != sessions_.end()) {
+    return found->second;
   }
-  return session;
+  // Built before insertion: a design build that throws leaves no entry
+  // behind for session_stats() to read.
+  std::shared_ptr<sim::Session> session;
+  if (multiplexed) {
+    // Workload-backed so one session answers structural AND assay queries
+    // over the same design snapshot.
+    session =
+        std::make_shared<sim::Session>(sim::AssayWorkload::multiplexed());
+  } else {
+    session = std::make_shared<sim::Session>(campaign::build_design_array(
+        request.design, request.min_primaries));
+  }
+  session->set_cache_capacity(options_.cache_capacity);
+  if (options_.store) session->attach_result_cache(options_.store);
+  return sessions_.emplace(key, std::move(session)).first->second;
 }
 
 std::uint64_t Server::serve(std::istream& in, std::ostream& out) {

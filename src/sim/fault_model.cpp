@@ -1,6 +1,7 @@
 #include "sim/fault_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -182,6 +183,32 @@ void inject(const FaultModel& model, FaultState& state, Rng& rng) {
     obs::count(obs::Metric::kInjectCellsFaulted, state.faulty_count());
     obs::count(obs::Metric::kInjectCellTrials, tally.trials);
     obs::count(obs::Metric::kInjectClassificationDraws, tally.classification);
+  }
+}
+
+bool lane_injectable(const FaultModel& model) {
+  const double kill = 1.0 - model.param;
+  return model.kind == FaultModel::Kind::kBernoulli && kill > 0.0 &&
+         kill < 1.0;
+}
+
+void inject_lanes(const FaultModel& model, const ChipDesign& design,
+                  std::span<Rng> rngs, std::span<std::uint64_t> words) {
+  DMFB_EXPECTS(lane_injectable(model));
+  const std::int32_t cells = design.cell_count();
+  fault::bernoulli_draws_lanes(rngs, cells, 1.0 - model.param, words);
+  if (obs::enabled()) {
+    // One classification draw per kill, as inject()'s callback tallies.
+    std::int64_t faulted = 0;
+    for (const std::uint64_t word :
+         words.first(rngs.size() * fault_word_count(cells))) {
+      faulted += std::popcount(word);
+    }
+    const auto runs = static_cast<std::int64_t>(rngs.size());
+    obs::count(obs::Metric::kInjectRuns, runs);
+    obs::count(obs::Metric::kInjectCellsFaulted, faulted);
+    obs::count(obs::Metric::kInjectCellTrials, runs * cells);
+    obs::count(obs::Metric::kInjectClassificationDraws, faulted);
   }
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -97,6 +98,21 @@ void validate(const FaultModel& model, const ChipDesign& design);
 /// the v1 draws of fault/draws.hpp — the same draws and faulty cells as
 /// the corresponding fault::*Injector::inject on a HexArray.
 void inject(const FaultModel& model, FaultState& state, Rng& rng);
+
+/// True iff inject_lanes() can draw `model`'s v1 runs: a Bernoulli model
+/// whose kill probability 1 - p is strictly between 0 and 1. Every other
+/// kind, and a degenerate p (where Rng::bernoulli draws nothing), runs
+/// one inject() per run. The one place that per-kind choice is made.
+bool lane_injectable(const FaultModel& model);
+
+/// v1 injection of rngs.size() <= fault::kMaxBernoulliLanes runs of a
+/// lane_injectable `model` at once (fault::bernoulli_draws_lanes): run l's
+/// fault words, in FaultState::fault_words() layout for `design`, land in
+/// words[l * W, (l + 1) * W) with W = fault_word_count(cell_count), and
+/// rngs[l] ends where inject() would leave it. The same draws, faulty
+/// cells and fault.* counters as one inject() per run.
+void inject_lanes(const FaultModel& model, const ChipDesign& design,
+                  std::span<Rng> rngs, std::span<std::uint64_t> words);
 
 /// v2 (rng_version = v2) injection with the v2 draws of fault/draws.hpp:
 /// the same stream draws and fault cells as fault::*Injector::inject_v2,

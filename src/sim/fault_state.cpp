@@ -28,6 +28,24 @@ void FaultState::reset() noexcept {
   faulty_cells_.clear();
 }
 
+void FaultState::load_fault_words(std::span<const std::uint64_t> words) {
+  DMFB_EXPECTS(faulty_cells_.empty());
+  DMFB_EXPECTS(words.size() == words_.size());
+  // Trailing bits past the last cell must stay zero (fault_words contract).
+  const auto tail = static_cast<std::uint32_t>(design_->cell_count()) & 63;
+  DMFB_EXPECTS(words.empty() || tail == 0 ||
+               (words.back() >> tail) == 0);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t bits = words[w];
+    words_[w] = bits;
+    while (bits != 0) {
+      faulty_cells_.push_back(static_cast<CellIndex>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
+      bits &= bits - 1;
+    }
+  }
+}
+
 std::int32_t FaultState::next_epoch() noexcept {
   if (++epoch_ == std::numeric_limits<std::int32_t>::max()) {
     std::fill(right_stamp_.begin(), right_stamp_.end(), 0);

@@ -77,6 +77,10 @@ class FaultState {
         std::uint64_t{1} << (static_cast<std::uint32_t>(cell) & 63);
     faulty_cells_.push_back(cell);
   }
+  /// Bulk path for lane injection: marks exactly the cells set in `words`
+  /// (one bitmap in fault_words() layout) on a reset state, recording them
+  /// in ascending order.
+  void load_fault_words(std::span<const std::uint64_t> words);
   std::int32_t faulty_count() const noexcept {
     return static_cast<std::int32_t>(faulty_cells_.size());
   }

@@ -1,6 +1,7 @@
 #include "sim/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -11,6 +12,7 @@
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
+#include "fault/draws.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -504,6 +506,15 @@ std::int64_t Session::successes_in_range(
   // fault set), so partitioning runs over workers — each with its own
   // incremental history — never changes the estimate.
   const EnginePlan plan = plan_engine(query, *design_);
+  // Repairs the injected run in `state`, then resets it.
+  const auto repaired = [&](FaultState& state) {
+    const bool ok =
+        plan.incremental
+            ? state.repairable_incremental(query.policy, query.pool)
+            : state.repairable(query.policy, plan.engine, query.pool);
+    state.reset();
+    return ok;
+  };
   // One lambda per draw contract (not a per-run branch): the v1 kernel
   // stays untouched, and injector-path functions never mix the two APIs
   // (tools/lint_determinism.py's mixed-rng-version rule).
@@ -513,12 +524,34 @@ std::int64_t Session::successes_in_range(
     for (std::int32_t run = lo; run < hi; ++run) {
       Rng rng = run_stream(query.seed, run);
       inject(query.fault, state, rng);
-      const bool ok =
-          plan.incremental
-              ? state.repairable_incremental(query.policy, query.pool)
-              : state.repairable(query.policy, plan.engine, query.pool);
-      if (ok) ++successes;
-      state.reset();
+      if (repaired(state)) ++successes;
+    }
+    return successes;
+  };
+  // The v1 lane loop: groups of up to fault::kMaxBernoulliLanes runs draw
+  // in lockstep, then repair one by one in run order. Each run draws from its
+  // own run_stream, so the verdicts are the per-run loop's; a short last
+  // group derives no stream at or past `hi`.
+  const std::size_t word_count = fault_word_count(design_->cell_count());
+  const auto count_range_lanes = [&](FaultState& state, std::int32_t lo,
+                                     std::int32_t hi) {
+    std::array<Rng, fault::kMaxBernoulliLanes> rngs;
+    std::vector<std::uint64_t> words(rngs.size() * word_count);
+    std::int64_t successes = 0;
+    for (std::int32_t run0 = lo; run0 < hi;) {
+      const auto lanes = static_cast<std::size_t>(
+          std::min(fault::kMaxBernoulliLanes, hi - run0));
+      for (std::size_t l = 0; l < lanes; ++l) {
+        rngs[l] = run_stream(query.seed, run0 + static_cast<std::int32_t>(l));
+      }
+      inject_lanes(query.fault, *design_, std::span(rngs).first(lanes),
+                   words);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        state.load_fault_words(
+            std::span(words).subspan(l * word_count, word_count));
+        if (repaired(state)) ++successes;
+      }
+      run0 += static_cast<std::int32_t>(lanes);
     }
     return successes;
   };
@@ -528,19 +561,19 @@ std::int64_t Session::successes_in_range(
     for (std::int32_t run = lo; run < hi; ++run) {
       CounterStream stream = run_stream_v2(query.seed, run);
       inject_v2(query.fault, state, stream);
-      const bool ok =
-          plan.incremental
-              ? state.repairable_incremental(query.policy, query.pool)
-              : state.repairable(query.policy, plan.engine, query.pool);
-      if (ok) ++successes;
-      state.reset();
+      if (repaired(state)) ++successes;
     }
     return successes;
   };
+  const bool use_lanes = query.rng_version == RngVersion::kV1 &&
+                         lane_injectable(query.fault);
   const auto count_range = [&](FaultState& state, std::int32_t lo,
                                std::int32_t hi) {
-    return query.rng_version == RngVersion::kV2 ? count_range_v2(state, lo, hi)
-                                                : count_range_v1(state, lo, hi);
+    if (query.rng_version == RngVersion::kV2) {
+      return count_range_v2(state, lo, hi);
+    }
+    return use_lanes ? count_range_lanes(state, lo, hi)
+                     : count_range_v1(state, lo, hi);
   };
 
   const std::int32_t batch_count = (end - begin + kBatchRuns - 1) / kBatchRuns;

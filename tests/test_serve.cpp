@@ -444,6 +444,40 @@ TEST(Server, PrimariesAboveTheLimitAnswerAnErrorAndServingContinues) {
   EXPECT_EQ(seen[1].rfind("{\"id\": 2, \"yield\"", 0), 0u) << seen[1];
 }
 
+TEST(Server, PrimariesBelowOneAnswerAnErrorAndStatsStayReadable) {
+  const auto request_line = [](std::int32_t id, std::int32_t primaries) {
+    return "{\"id\":" + std::to_string(id) +
+           ",\"design\":\"dtmb2_6\",\"primaries\":" +
+           std::to_string(primaries) +
+           ",\"injector\":\"bernoulli\",\"param\":0.9,\"runs\":10}";
+  };
+  for (const std::int32_t primaries : {0, -3}) {
+    const ParsedRequest refused =
+        parse_request(request_line(1, primaries), 1);
+    ASSERT_FALSE(refused.ok()) << primaries;
+    EXPECT_NE(refused.error.find("primaries"), std::string::npos)
+        << refused.error;
+  }
+
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  const std::string out = serve_batch(
+      server, request_line(1, 0) + "\n" + request_line(2, 60) + "\n");
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> seen;
+  while (std::getline(lines, line)) seen.push_back(line);
+  ASSERT_EQ(seen.size(), 2u) << out;
+  EXPECT_EQ(seen[0].rfind("{\"id\": 1, \"error\"", 0), 0u) << seen[0];
+  EXPECT_EQ(seen[1].rfind("{\"id\": 2, \"yield\"", 0), 0u) << seen[1];
+  // Only the answered query left a session behind, and reading the stats
+  // after serve() returned touches no empty entry.
+  const sim::Session::Stats stats = server.session_stats();
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.computed, 1u);
+}
+
 TEST(Server, WorkAboveTheBudgetAnswersAnErrorAndServingContinues) {
   const auto request_line = [](std::int32_t id, std::int64_t runs) {
     return "{\"id\": " + std::to_string(id) + ", \"runs\": " +
